@@ -140,6 +140,28 @@ def _model_payload(kind: str, fitted) -> dict:
     raise ParameterError(f"unknown model kind {kind!r}")
 
 
+def _loess_from_payload(payload: dict) -> LoessFit:
+    road, home, movs = (
+        np.array(payload[key], dtype=float) for key in ("road_ranks", "home_ranks", "movs")
+    )
+    if road.ndim != 1 or road.shape != home.shape or road.shape != movs.shape:
+        raise ParameterError(
+            f"road_ranks, home_ranks and movs must be lists of one length, got "
+            f"{road.shape}, {home.shape} and {movs.shape}"
+        )
+    if not (np.isfinite(road).all() and np.isfinite(home).all() and np.isfinite(movs).all()):
+        raise ParameterError("road_ranks, home_ranks and movs must be finite")
+    span = float(payload["span"])
+    if not 0.0 < span <= 1.0:
+        raise ParameterError(f"span must be in (0, 1], got {span}")
+    if math.ceil(span * len(movs)) < 3:
+        raise ParameterError(f"span {span} keeps fewer than 3 of {len(movs)} points")
+    scales = tuple(float(s) for s in payload["predictor_scales"])
+    if len(scales) != 2 or not all(math.isfinite(s) and s > 0.0 for s in scales):
+        raise ParameterError(f"predictor_scales must be two finite numbers > 0, got {scales}")
+    return LoessFit(road, home, movs, span=span, predictor_scales=scales)
+
+
 def _load_model_file(path: str):
     try:
         doc = json.loads(Path(path).read_text())
@@ -147,6 +169,10 @@ def _load_model_file(path: str):
         raise ParameterError(f"model file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ParameterError(f"model file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParameterError(
+            f"model file {path} must hold a JSON object, got {type(doc).__name__}"
+        )
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ParameterError(
@@ -168,13 +194,7 @@ def _load_model_file(path: str):
                 n_train=int(payload["n_train"]),
             )
         if kind == "loess":
-            return kind, LoessFit(
-                road_ranks=np.array(payload["road_ranks"], dtype=float),
-                home_ranks=np.array(payload["home_ranks"], dtype=float),
-                movs=np.array(payload["movs"], dtype=float),
-                span=float(payload["span"]),
-                predictor_scales=tuple(payload["predictor_scales"]),
-            )
+            return kind, _loess_from_payload(payload)
         if kind in ("kernel-iso", "kernel-aniso"):
             games = _arrays_to_dataset(payload)
             if kind == "kernel-iso":
@@ -182,6 +202,8 @@ def _load_model_file(path: str):
             return kind, anisotropic_smoother(
                 games, float(payload["sigma_x"]), float(payload["sigma_y"])
             )
+    except ParameterError as exc:
+        raise ParameterError(f"model file {path} has an invalid {kind!r} payload: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(
             f"model file {path} has a malformed {kind!r} payload: {exc!r}"
@@ -294,10 +316,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    kind, fitted = _load_model_file(args.model_file)
     r, h = args.road_rank, args.home_rank
+    if not (math.isfinite(r) and math.isfinite(h)):
+        raise ParameterError(f"ranks must be finite numbers, got road={r} home={h}")
     if r < 1 or h < 1:
         raise ParameterError(f"ranks must be >= 1, got road={r} home={h}")
+    kind, fitted = _load_model_file(args.model_file)
     if kind == "quadratic":
         est = predict_quadratic(fitted, r, h)
     elif kind == "gam":

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through cli.main plus console-script smoke tests."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -231,6 +232,78 @@ def test_predict_rejects_invalid_rank(tmp_path, capsys):
     )
     assert rc == 2
     assert "ranks must be >= 1" in capsys.readouterr().err
+
+
+def _loess_doc(**changes):
+    payload = {
+        "span": 0.5,
+        "predictor_scales": [2.0, 3.0],
+        "road_ranks": [1, 2, 3, 4, 5, 6, 7, 8],
+        "home_ranks": [2, 5, 1, 7, 3, 8, 4, 6],
+        "movs": [3.0, -1.0, 4.0, 1.0, -5.0, 9.0, 2.0, -6.0],
+    }
+    payload.update(changes)
+    return {"schema_version": 1, "model": "loess", "payload": payload}
+
+
+def _predict_file(tmp_path, doc, road="3", home="4"):
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps(doc))
+    return cli.main(
+        ["predict", "--model-file", str(model_file), f"--road-rank={road}", f"--home-rank={home}"]
+    )
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("flag", ["road", "home"])
+def test_predict_rejects_non_finite_rank(tmp_path, capsys, flag, value):
+    ranks = {"road": "3", "home": "4", flag: value}
+    assert _predict_file(tmp_path, _loess_doc(), **ranks) == 2
+    captured = capsys.readouterr()
+    assert "ranks must be finite" in captured.err
+    assert captured.out == ""
+
+
+def test_predict_rejects_non_object_model_file(tmp_path, capsys):
+    assert _predict_file(tmp_path, [_loess_doc()]) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"movs": [3.0, -1.0, 4.0]}, "lists of one length"),
+        ({"home_ranks": [2, 5, 1, 7, 3, 8, 4, 6, 9]}, "lists of one length"),
+        ({"movs": [3.0, -1.0, 4.0, 1.0, float("nan"), 9.0, 2.0, -6.0]}, "must be finite"),
+        ({"road_ranks": [1, 2, 3, float("inf"), 5, 6, 7, 8]}, "must be finite"),
+        ({"span": float("nan")}, "span must be in (0, 1]"),
+        ({"span": 5}, "span must be in (0, 1]"),
+        ({"span": 0.25}, "keeps fewer than 3"),
+        ({"predictor_scales": [0.0, 3.0]}, "predictor_scales"),
+        ({"predictor_scales": [2.0, float("inf")]}, "predictor_scales"),
+        ({"predictor_scales": [2.0]}, "predictor_scales"),
+    ],
+    ids=[
+        "short-movs", "long-home", "nan-mov", "inf-rank", "nan-span", "span-5",
+        "span-keeps-2", "zero-scale", "inf-scale", "one-scale",
+    ],
+)
+def test_predict_rejects_invalid_loess_payload(tmp_path, capsys, changes, message):
+    assert _predict_file(tmp_path, _loess_doc(**changes)) == 2
+    err = capsys.readouterr().err
+    assert "invalid 'loess' payload" in err and message in err
+    assert "Traceback" not in err
+
+
+def test_python_m_runs_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankmargin", "--help"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: rankmargin")
 
 
 def test_tune_loess(games_csv, tmp_path, capsys):

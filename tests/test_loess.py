@@ -1,13 +1,20 @@
 """Local linear smoothing: prediction, fallbacks, and span selection."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from rankmargin import loess
 from rankmargin.errors import DegeneratePredictionWarning, ParameterError
+from rankmargin.evaluate import fold_assignments
 from rankmargin.loess import (
     DEFAULT_SPAN_GRID,
+    LoessFit,
+    _predict_exact,
     fit_loess,
     predict_loess,
     predict_loess_arrays,
@@ -140,6 +147,156 @@ class TestDegenerateNeighborhoods:
                 1.0, 3.0, 5.0,
             )
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def _exact(fit, road, home):
+    """Predictions of the scalar SVD path, one query at a time."""
+    q = fit.neighborhood_size
+    return np.array([_predict_exact(fit, q, r, h)[0] for r, h in zip(road, home)])
+
+
+def _mixed_degenerate():
+    """Training games around five queries: the first four each meet one of
+    the degenerate neighborhoods of TestDegenerateNeighborhoods, the fifth
+    an ordinary one. Span 0.2 keeps 4 of the 20 games."""
+    road, home = [10] * 4, [10] * 4  # coincident at (10, 10)
+    road += [49, 51, 50, 50]  # ring of radius 1 around (50, 10)
+    home += [10, 10, 9, 11]
+    road += [11, 10, 12, 10]  # 2 at distance 1, 2 tied at d_max = 2 from (10, 50)
+    home += [50, 51, 50, 52]
+    road += [51, 52, 53, 49]  # 3 collinear inside d_max = 3*sqrt(2) of (50, 50)
+    home += [51, 52, 53, 49]
+    road += [101, 100, 100, 103]  # 3 inside d_max = 2 of (101, 101), not collinear
+    home += [100, 100, 102, 101]
+    movs = np.arange(1.0, 21.0) ** 1.5
+    data = make_dataset(road, home, movs)
+    queries = (
+        np.array([10.0, 50.0, 10.0, 50.0, 101.0]),
+        np.array([10.0, 10.0, 50.0, 50.0, 101.0]),
+    )
+    return fit_loess(data, 0.2, standardize=False), queries
+
+
+class TestBatchedPrediction:
+    @pytest.mark.parametrize("n", [50, 120, 4518])
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_matches_exact_path(self, n, standardize):
+        rng = np.random.default_rng(n)
+        data = generate_synthetic(n, seed=n, rank_max=351 if n > 1000 else 60)
+        rank_max = int(data.road_ranks.max())
+        integer = rng.integers(1, rank_max + 1, size=(2, 60)).astype(float)
+        fractional = rng.uniform(0.5, rank_max + 0.5, size=(2, 60))
+        road, home = np.concatenate([integer, fractional], axis=1)
+        worst = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneratePredictionWarning)
+            for span in (0.05, 0.1, 0.3, 0.6, 1.0):
+                if math.ceil(span * n) < 3:
+                    continue
+                fit = fit_loess(data, span, standardize=standardize)
+                got = predict_loess_arrays(fit, road, home)
+                worst = max(worst, np.max(np.abs(got - _exact(fit, road, home))))
+        assert worst <= 1e-10
+
+    def test_mixed_degenerate_batch_matches_exact_path(self):
+        fit, (road, home) = _mixed_degenerate()
+        with pytest.warns(DegeneratePredictionWarning):
+            got = predict_loess_arrays(fit, road, home)
+        want = _exact(fit, road, home)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        reasons = [_predict_exact(fit, 4, r, h)[1] for r, h in zip(road, home)]
+        assert len(set(reasons[:4])) == 4 and reasons[4] is None
+
+    def test_one_warning_per_call_counts_fallbacks(self):
+        fit, (road, home) = _mixed_degenerate()
+        # the four degenerate queries twice and the ordinary one: k = 8
+        road = np.concatenate([road[:4], road])
+        home = np.concatenate([home[:4], home])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            predict_loess_arrays(fit, road, home)
+        assert len(caught) == 1
+        assert issubclass(caught[0].category, DegeneratePredictionWarning)
+        assert str(caught[0].message).startswith("8 of 9 LOESS predictions fell back")
+
+    def test_block_composition_does_not_change_bits(self, monkeypatch):
+        data = generate_synthetic(900, seed=21, rank_max=120)
+        fit = fit_loess(data, 0.2)
+        rng = np.random.default_rng(21)
+        road = np.concatenate([rng.integers(1, 121, 150), rng.uniform(1, 120, 150)])
+        home = np.concatenate([rng.integers(1, 121, 150), rng.uniform(1, 120, 150)])
+        whole = predict_loess_arrays(fit, road, home)
+        singles = [predict_loess(fit, r, h) for r, h in zip(road, home)]
+        reversed_ = predict_loess_arrays(fit, road[::-1], home[::-1])[::-1]
+        np.testing.assert_array_equal(whole, singles)
+        np.testing.assert_array_equal(whole, reversed_)
+        monkeypatch.setattr(loess, "BLOCK_ELEMENTS", 7 * len(data))
+        np.testing.assert_array_equal(whole, predict_loess_arrays(fit, road, home))
+
+    def test_span_cv_matches_per_span_prediction(self):
+        data = generate_synthetic(240, seed=22, rank_max=40)
+        grid = [0.2, 0.45, 0.7]
+        _, curve = select_span_cv(data, span_grid=grid, folds=4, seed=5)
+        n = len(data)
+        for (s, got), span in zip(curve, grid):
+            total = 0.0
+            for held in fold_assignments(n, 4, 5):
+                part = fit_loess(data.subset(np.setdiff1d(np.arange(n), held)), span)
+                err = predict_loess_arrays(
+                    part, data.road_ranks[held], data.home_ranks[held]
+                ) - data.movs[held]
+                total += float(err @ err)
+            assert got == math.sqrt(total / n)
+
+
+@st.composite
+def _training(draw):
+    n = draw(st.integers(8, 40))
+    ranks = st.lists(st.integers(1, 25), min_size=n, max_size=n)
+    marks = st.lists(st.floats(-40, 40, allow_nan=False), min_size=n, max_size=n)
+    span = draw(st.floats(3.0 / n, 1.0))
+    queries = st.lists(st.floats(0.5, 25.5, allow_nan=False), min_size=4, max_size=4)
+    return (
+        np.array(draw(ranks), dtype=float),
+        np.array(draw(ranks), dtype=float),
+        np.array(draw(marks)),
+        np.array(draw(marks)),
+        span,
+        np.array(draw(queries)),
+        np.array(draw(queries)),
+    )
+
+
+_PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def _loess(road, home, movs, span):
+    return LoessFit(road, home, movs, span=span, predictor_scales=(4.0, 6.0))
+
+
+@_PROPERTY
+@given(_training(), st.randoms(use_true_random=False))
+def test_invariant_to_permuting_training_games(training, rnd):
+    road, home, movs, _, span, qr, qh = training
+    order = list(range(len(movs)))
+    rnd.shuffle(order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneratePredictionWarning)
+        a = predict_loess_arrays(_loess(road, home, movs, span), qr, qh)
+        b = predict_loess_arrays(_loess(road[order], home[order], movs[order], span), qr, qh)
+    np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
+
+
+@_PROPERTY
+@given(_training(), st.floats(-3, 3), st.floats(-3, 3))
+def test_linear_in_margins(training, alpha, beta):
+    road, home, y1, y2, span, qr, qh = training
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneratePredictionWarning)
+        p1 = predict_loess_arrays(_loess(road, home, y1, span), qr, qh)
+        p2 = predict_loess_arrays(_loess(road, home, y2, span), qr, qh)
+        mixed = predict_loess_arrays(_loess(road, home, alpha * y1 + beta * y2, span), qr, qh)
+    np.testing.assert_allclose(mixed, alpha * p1 + beta * p2, rtol=0, atol=1e-9)
 
 
 class TestSpanSelection:
