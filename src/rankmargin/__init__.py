@@ -14,6 +14,7 @@ from .data import (
     GameRecord,
     RotatedPoint,
     SplitSpec,
+    fold_assignments,
     parse_games,
     rotate,
     rotate_arrays,
@@ -41,7 +42,6 @@ from .evaluate import (
     ModelSpec,
     PureErrorSummary,
     benchmark,
-    fold_assignments,
     kfold_cv,
     lack_of_fit,
     pure_error,

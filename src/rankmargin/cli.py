@@ -27,7 +27,7 @@ import numpy as np
 
 from . import models
 from .additive import AdditiveFit, component_band, fit_additive, predict_additive
-from .data import Dataset, SplitSpec, parse_games, split, write_games
+from .data import Dataset, SplitSpec, parse_games, split, training_arrays, write_games
 from .errors import ParameterError, RankMarginError
 from .evaluate import benchmark, lack_of_fit, pure_error
 from .kernel import (
@@ -93,15 +93,23 @@ def _smooth_to_dict(sf: SmoothFunction) -> dict:
 
 
 def _smooth_from_dict(d: dict) -> SmoothFunction:
-    lam = d["lam"]
-    return SmoothFunction(
-        knots=np.array(d["knots"], dtype=float),
-        values=np.array(d["values"], dtype=float),
-        second_derivatives=np.array(d["second_derivatives"], dtype=float),
-        lam=math.inf if lam == "inf" else float(lam),
-        effective_df=float(d["effective_df"]),
-        knot_weights=np.array(d["knot_weights"], dtype=float),
-    )
+    arrays = {
+        key: np.array(d[key], dtype=float)
+        for key in ("knots", "values", "second_derivatives", "knot_weights")
+    }
+    knots = arrays["knots"]
+    if knots.ndim != 1 or len(knots) < 2 or any(a.shape != knots.shape for a in arrays.values()):
+        raise ParameterError(
+            "knots, values, second_derivatives and knot_weights must be lists of one length >= 2"
+        )
+    lam = math.inf if d["lam"] == "inf" else float(d["lam"])
+    effective_df = float(d["effective_df"])
+    finite = all(np.isfinite(a).all() for a in arrays.values()) and math.isfinite(effective_df)
+    if not (finite and lam >= 0.0 and (np.diff(knots) > 0.0).all()):
+        raise ParameterError(
+            "a smooth term needs finite values, increasing knots and lam >= 0 (or \"inf\")"
+        )
+    return SmoothFunction(lam=lam, effective_df=effective_df, **arrays)
 
 
 def _model_payload(kind: str, fitted) -> dict:
@@ -132,7 +140,7 @@ def _model_payload(kind: str, fitted) -> dict:
             "movs": fitted.movs.tolist(),
         }
         if kind == "kernel-iso":
-            payload["sigma"] = fitted.sigma
+            payload["sigma"] = fitted.sigma_x
         else:
             payload["sigma_x"] = fitted.sigma_x
             payload["sigma_y"] = fitted.sigma_y
@@ -141,16 +149,9 @@ def _model_payload(kind: str, fitted) -> dict:
 
 
 def _loess_from_payload(payload: dict) -> LoessFit:
-    road, home, movs = (
-        np.array(payload[key], dtype=float) for key in ("road_ranks", "home_ranks", "movs")
+    road, home, movs = training_arrays(
+        payload["road_ranks"], payload["home_ranks"], payload["movs"]
     )
-    if road.ndim != 1 or road.shape != home.shape or road.shape != movs.shape:
-        raise ParameterError(
-            f"road_ranks, home_ranks and movs must be lists of one length, got "
-            f"{road.shape}, {home.shape} and {movs.shape}"
-        )
-    if not (np.isfinite(road).all() and np.isfinite(home).all() and np.isfinite(movs).all()):
-        raise ParameterError("road_ranks, home_ranks and movs must be finite")
     span = float(payload["span"])
     if not 0.0 < span <= 1.0:
         raise ParameterError(f"span must be in (0, 1], got {span}")
@@ -184,11 +185,14 @@ def _load_model_file(path: str):
         if kind == "quadratic":
             return kind, QuadraticFit.from_dict(payload)
         if kind == "gam":
+            mu, sigma_hat = float(payload["mu"]), float(payload["sigma_hat"])
+            if not (math.isfinite(mu) and math.isfinite(sigma_hat)):
+                raise ParameterError(f"mu and sigma_hat must be finite, got {mu} and {sigma_hat}")
             return kind, AdditiveFit(
-                mu=float(payload["mu"]),
+                mu=mu,
                 f_road=_smooth_from_dict(payload["f_road"]),
                 f_home=_smooth_from_dict(payload["f_home"]),
-                sigma_hat=float(payload["sigma_hat"]),
+                sigma_hat=sigma_hat,
                 iterations_used=int(payload["iterations_used"]),
                 converged=bool(payload["converged"]),
                 n_train=int(payload["n_train"]),
@@ -196,43 +200,17 @@ def _load_model_file(path: str):
         if kind == "loess":
             return kind, _loess_from_payload(payload)
         if kind in ("kernel-iso", "kernel-aniso"):
-            games = _arrays_to_dataset(payload)
+            arrays = (payload["road_ranks"], payload["home_ranks"], payload["movs"])
             if kind == "kernel-iso":
-                return kind, isotropic_smoother(games, float(payload["sigma"]))
-            return kind, anisotropic_smoother(
-                games, float(payload["sigma_x"]), float(payload["sigma_y"])
-            )
-    except ParameterError as exc:
+                return kind, KernelSmootherSpec(*arrays, payload["sigma"], payload["sigma"])
+            return kind, KernelSmootherSpec(*arrays, payload["sigma_x"], payload["sigma_y"])
+    except RankMarginError as exc:
         raise ParameterError(f"model file {path} has an invalid {kind!r} payload: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(
             f"model file {path} has a malformed {kind!r} payload: {exc!r}"
         ) from None
     raise ParameterError(f"model file {path} has unknown model kind {kind!r}")
-
-
-def _arrays_to_dataset(payload: dict) -> Dataset:
-    # Rebuild a minimal dataset for the lazy smoothers: scores are synthetic
-    # but consistent with the stored margins.
-    import datetime as dt
-
-    from .data import GameRecord
-
-    games = []
-    for r, h, m in zip(payload["road_ranks"], payload["home_ranks"], payload["movs"]):
-        road_score = 70 + max(m, 0)
-        games.append(
-            GameRecord(
-                date=dt.date(2000, 1, 1),
-                home_team="",
-                road_team="",
-                home_rank=int(h),
-                road_rank=int(r),
-                home_score=road_score - m,
-                road_score=road_score,
-            )
-        )
-    return Dataset.from_games(games)
 
 
 # --------------------------------------------------------------------------

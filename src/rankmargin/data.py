@@ -1,4 +1,4 @@
-"""Game records, CSV ingestion, train/validation splits, axis rotation.
+"""Game records, CSV ingestion, train/validation splits and folds, axis rotation.
 
 The margin of victory (MOV) convention used everywhere in this package is
 
@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     CsvFormatError,
+    DataError,
     EmptyInputError,
     InvalidSplitError,
     ParameterError,
@@ -97,6 +98,24 @@ def rotate_arrays(road_ranks, home_ranks):
     r = np.asarray(road_ranks, dtype=float)
     h = np.asarray(home_ranks, dtype=float)
     return r * _SIN45 + h * _COS45, r * _COS45 - h * _SIN45
+
+
+def training_arrays(road_ranks, home_ranks, movs):
+    """Validated float vectors (road, home, movs) for a smoother built from
+    arrays: nonempty, of one length, finite, with integer ranks >= 1."""
+    road, home, movs = (np.asarray(a, dtype=float) for a in (road_ranks, home_ranks, movs))
+    if road.ndim != 1 or road.shape != home.shape or road.shape != movs.shape:
+        raise DataError(
+            f"road_ranks, home_ranks and movs must be lists of one length, got "
+            f"{road.shape}, {home.shape} and {movs.shape}"
+        )
+    if len(movs) == 0:
+        raise DataError("no training games")
+    if not (np.isfinite(road).all() and np.isfinite(home).all() and np.isfinite(movs).all()):
+        raise DataError("road_ranks, home_ranks and movs must be finite")
+    if not all((r >= 1).all() and (r % 1 == 0).all() for r in (road, home)):
+        raise DataError("road_ranks and home_ranks must be integers >= 1")
+    return road, home, movs
 
 
 @dataclass(frozen=True)
@@ -181,6 +200,26 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     train_idx = order[: spec.train_count]
     valid_idx = order[spec.train_count :]
     return dataset.subset(train_idx), dataset.subset(valid_idx)
+
+
+def fold_assignments(n: int, k: int, seed: int) -> list[np.ndarray]:
+    """Deterministic k-fold partition of range(n); sizes differ by at most 1.
+
+    A pure function of (n, k, seed): the positions are shuffled by a seeded
+    PCG64 generator and split into k consecutive chunks. Mark values never
+    enter the assignment.
+    """
+    if not 2 <= k <= n:
+        raise ParameterError(f"folds must satisfy 2 <= k <= n, got k={k}, n={n}")
+    perm = np.random.default_rng(seed).permutation(n)
+    return list(np.array_split(perm, k))
+
+
+def fold_splits(n: int, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(train_idx, held_out) for each fold of `fold_assignments(n, k, seed)`;
+    train_idx is sorted."""
+    all_idx = np.arange(n)
+    return [(np.setdiff1d(all_idx, held), held) for held in fold_assignments(n, k, seed)]
 
 
 def _parse_int(raw: str, column: str, row: int) -> int:

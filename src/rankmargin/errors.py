@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the helper that
+emits one fallback warning per predicting call."""
+
+import warnings
 
 
 class RankMarginError(Exception):
@@ -59,3 +62,17 @@ class DegeneratePredictionWarning(UserWarning):
 
 class RankRangeWarning(UserWarning):
     """Ranks beyond the usual Division I range (1..351) were accepted."""
+
+
+def warn_fallbacks(model: str, fallbacks, total: int) -> None:
+    """One DegeneratePredictionWarning for a predicting call whose `fallbacks`
+    (a Counter of predictions by reason) are not all zero, attributed to the
+    code that made that call."""
+    count = sum(fallbacks.values())
+    if count:
+        reasons = "; ".join(f"{k} {why}" for why, k in fallbacks.items() if k)
+        warnings.warn(
+            f"{count} of {total} {model} predictions fell back: {reasons}",
+            DegeneratePredictionWarning,
+            stacklevel=3,
+        )

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, fold_assignments, fold_splits  # fold_assignments re-exported
 from .errors import (
     DataError,
     InconsistencyError,
@@ -123,19 +123,6 @@ def lack_of_fit(fit_sse: float, n_params: int, data: Dataset) -> LackOfFitResult
     )
 
 
-def fold_assignments(n: int, k: int, seed: int) -> list[np.ndarray]:
-    """Deterministic k-fold partition of range(n); sizes differ by at most 1.
-
-    A pure function of (n, k, seed): the positions are shuffled by a seeded
-    PCG64 generator and split into k consecutive chunks. Mark values never
-    enter the assignment.
-    """
-    if not 2 <= k <= n:
-        raise ParameterError(f"folds must satisfy 2 <= k <= n, got k={k}, n={n}")
-    perm = np.random.default_rng(seed).permutation(n)
-    return list(np.array_split(perm, k))
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """A named way to turn a training Dataset into a batch predictor."""
@@ -147,11 +134,8 @@ class ModelSpec:
 def kfold_cv(data: Dataset, k: int, seed: int, model: ModelSpec) -> float:
     """Pooled k-fold cross-validated RMSE of `model` on `data`."""
     n = len(data)
-    assignments = fold_assignments(n, k, seed)
-    all_idx = np.arange(n)
     total_sq = 0.0
-    for j, held_out in enumerate(assignments, start=1):
-        tr_idx = np.setdiff1d(all_idx, held_out)
+    for j, (tr_idx, held_out) in enumerate(fold_splits(n, k, seed), start=1):
         try:
             predictor = model.fit(data.subset(tr_idx))
         except Exception as exc:

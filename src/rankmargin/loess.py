@@ -38,16 +38,14 @@ and reuses them for every span of the grid.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .errors import DegeneratePredictionWarning, ParameterError, RankDeficientError
-from .evaluate import fold_assignments
-from .numerics import weighted_least_squares
+from .data import Dataset, fold_splits
+from .errors import ParameterError, RankDeficientError, warn_fallbacks
+from .numerics import min_ties_to_larger, weighted_least_squares
 
 DEFAULT_SPAN_GRID = tuple(round(0.05 * k, 2) for k in range(1, 21))
 
@@ -110,7 +108,7 @@ def predict_loess(fit: LoessFit, road_rank: float, home_rank: float) -> float:
     """Local linear prediction at one rank pair: `predict_loess_arrays` for a
     batch of one, with the same fallbacks and warning."""
     preds, fallbacks = _predict(fit, [road_rank], [home_rank], [fit.neighborhood_size])
-    _warn_fallbacks(fallbacks, 1)
+    warn_fallbacks("LOESS", fallbacks, 1)
     return float(preds[0, 0])
 
 
@@ -122,18 +120,8 @@ def predict_loess_arrays(fit: LoessFit, road_ranks, home_ranks) -> np.ndarray:
     one DegeneratePredictionWarning for the call that counts the fallbacks.
     """
     preds, fallbacks = _predict(fit, road_ranks, home_ranks, [fit.neighborhood_size])
-    _warn_fallbacks(fallbacks, preds.shape[1])
+    warn_fallbacks("LOESS", fallbacks, preds.shape[1])
     return preds[0]
-
-
-def _warn_fallbacks(fallbacks: Counter, total: int) -> None:
-    if fallbacks:
-        reasons = "; ".join(f"{k} {why}" for why, k in fallbacks.items())
-        warnings.warn(
-            f"{sum(fallbacks.values())} of {total} LOESS predictions fell back: {reasons}",
-            DegeneratePredictionWarning,
-            stacklevel=3,
-        )
 
 
 def _predict(fit: LoessFit, road_ranks, home_ranks, sizes) -> tuple[np.ndarray, Counter]:
@@ -300,18 +288,16 @@ def select_span_cv(
         if not 0.0 < s <= 1.0:
             raise ParameterError(f"span must be in (0, 1], got {s}")
     n = len(train)
-    assignments = fold_assignments(n, folds, seed)
-    smallest_train = min(n - len(f) for f in assignments)
+    splits = fold_splits(n, folds, seed)
+    smallest_train = min(len(tr) for tr, _ in splits)
     for s in grid:
         if math.ceil(s * smallest_train) < 3:
             raise ParameterError(
                 f"span {s} keeps fewer than 3 points in a fold of {smallest_train} games"
             )
-    all_idx = np.arange(n)
     total_sq = [0.0] * len(grid)
     fallbacks = Counter()
-    for held_out in assignments:
-        tr_idx = np.setdiff1d(all_idx, held_out)
+    for tr_idx, held_out in splits:
         part = fit_loess(train.subset(tr_idx), grid[0], standardize=standardize)
         preds, dropped = _predict(
             part,
@@ -323,10 +309,6 @@ def select_span_cv(
         for i, row in enumerate(preds):
             err = row - train.movs[held_out]
             total_sq[i] += float(err @ err)
-    _warn_fallbacks(fallbacks, n * len(grid))
+    warn_fallbacks("LOESS", fallbacks, n * len(grid))
     curve = [(s, math.sqrt(t / n)) for s, t in zip(grid, total_sq)]
-    best_span, best_rmse = curve[0]
-    for s, r in curve[1:]:
-        if r < best_rmse or (r == best_rmse and s > best_span):
-            best_span, best_rmse = s, r
-    return best_span, curve
+    return min_ties_to_larger(curve)[0], curve

@@ -1,4 +1,5 @@
-"""Shared numerical kernels: weighted least squares, smoothing splines, F CDF.
+"""Shared numerical kernels: weighted least squares, smoothing splines, F CDF,
+and the grid-search rule for choosing among scored settings.
 
 The smoothing spline here is the natural cubic kind: it minimizes
 
@@ -36,6 +37,16 @@ RANK_TOLERANCE = 1e-10
 
 # Bisection bracket for the smoothing parameter, in units of (site range)^3.
 _LAMBDA_BRACKET = (1e-8, 1e8)
+
+
+def min_ties_to_larger(entries):
+    """The entry (*setting, score) with the smallest score; among equal
+    scores, the largest setting (tuples compare in order), i.e. the smoothest."""
+    best = entries[0]
+    for entry in entries[1:]:
+        if entry[-1] < best[-1] or (entry[-1] == best[-1] and entry[:-1] > best[:-1]):
+            best = entry
+    return best
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ columns internally, then reports coefficients on the original scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,16 +52,14 @@ class QuadraticFit:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuadraticFit":
-        return cls(
-            beta0=float(d["beta0"]),
-            beta_r=float(d["beta_r"]),
-            beta_h=float(d["beta_h"]),
-            beta_rr=float(d["beta_rr"]),
-            beta_hh=float(d["beta_hh"]),
-            sigma_hat=float(d["sigma_hat"]),
-            n_train=int(d["n_train"]),
-            beta_rh=float(d.get("beta_rh", 0.0)),
-        )
+        """Inverse of `to_dict`; raises ParameterError on a non-finite value."""
+        keys = ("beta0", "beta_r", "beta_h", "beta_rr", "beta_hh", "sigma_hat")
+        values = {key: float(d[key]) for key in keys}
+        values["beta_rh"] = float(d.get("beta_rh", 0.0))
+        bad = [key for key, v in values.items() if not math.isfinite(v)]
+        if bad:
+            raise ParameterError(f"coefficients must be finite, got non-finite {', '.join(bad)}")
+        return cls(n_train=int(d["n_train"]), **values)
 
 
 def _design_columns(r: np.ndarray, h: np.ndarray, include_interaction: bool):

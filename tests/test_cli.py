@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through cli.main plus console-script smoke tests."""
 
+import copy
 import json
 import os
 import shutil
@@ -12,6 +13,7 @@ import pytest
 from rankmargin import cli
 from rankmargin.data import parse_games
 from rankmargin.evaluate import BenchmarkReport
+from rankmargin.kernel import anisotropic_smoother, isotropic_smoother, predict_kernel
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample_data" / "games_sample.csv"
 
@@ -293,6 +295,72 @@ def test_predict_rejects_invalid_loess_payload(tmp_path, capsys, changes, messag
     err = capsys.readouterr().err
     assert "invalid 'loess' payload" in err and message in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def model_docs(games_csv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("models")
+    rc = cli.main(
+        [
+            "fit", "--input", str(games_csv), "--model", "all", "--span", "0.4",
+            "--sigma", "6", "--sigma-x", "20", "--sigma-y", "5", "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    return {p.stem: json.loads(p.read_text()) for p in out.glob("*.json")}
+
+
+def _edited(doc, path, value):
+    doc = copy.deepcopy(doc)
+    target = doc["payload"]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value(target[path[-1]]) if callable(value) else value
+    return doc
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "kind, path, value, message",
+    [
+        ("kernel-iso", ["sigma"], NAN, "bandwidths must be finite and > 0"),
+        ("kernel-iso", ["road_ranks"], lambda ranks: [r + 0.7 for r in ranks], "integers >= 1"),
+        ("kernel-aniso", ["sigma_y"], 0.0, "bandwidths must be finite and > 0"),
+        ("kernel-aniso", ["home_ranks", 0], 0, "integers >= 1"),
+        ("kernel-aniso", ["movs", 3], NAN, "must be finite"),
+        ("kernel-aniso", ["movs"], lambda movs: movs[:-1], "lists of one length"),
+        ("kernel-iso", ["road_ranks"], [], "lists of one length"),
+        ("quadratic", ["beta0"], NAN, "non-finite beta0"),
+        ("quadratic", ["beta_hh"], float("inf"), "non-finite beta_hh"),
+        ("gam", ["f_road", "values", 2], NAN, "finite values"),
+        ("gam", ["f_home", "knots", 0], NAN, "finite values"),
+        ("gam", ["mu"], NAN, "mu and sigma_hat must be finite"),
+    ],
+    ids=[
+        "iso-nan-sigma", "iso-fractional-ranks", "aniso-zero-sigma", "aniso-zero-rank",
+        "aniso-nan-mov", "aniso-short-movs", "iso-empty-ranks", "quad-nan-beta0",
+        "quad-inf-beta_hh", "gam-nan-value", "gam-nan-knot", "gam-nan-mu",
+    ],
+)
+def test_predict_rejects_invalid_payload(tmp_path, capsys, model_docs, kind, path, value, message):
+    assert _predict_file(tmp_path, _edited(model_docs[kind], path, value)) == 2
+    captured = capsys.readouterr()
+    assert f"invalid {kind!r} payload" in captured.err and message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_kernel_file_predicts_like_the_fitted_smoother(games_csv, tmp_path, capsys, model_docs):
+    # the smoother is rebuilt from the payload arrays alone
+    data = parse_games(games_csv.read_text())
+    for kind, spec in (
+        ("kernel-iso", isotropic_smoother(data, 6.0)),
+        ("kernel-aniso", anisotropic_smoother(data, 20.0, 5.0)),
+    ):
+        assert _predict_file(tmp_path, model_docs[kind], road="5", home="20") == 0
+        assert f"= {predict_kernel(spec, 5.0, 20.0):.2f}" in capsys.readouterr().out
 
 
 def test_python_m_runs_cli():

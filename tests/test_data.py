@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankmargin.data import (
     CUSTOMARY_MAX_RANK,
     Dataset,
     GameRecord,
     SplitSpec,
+    fold_assignments,
+    fold_splits,
     parse_games,
     rotate,
     rotate_arrays,
@@ -125,6 +129,53 @@ def test_roundtrip_write_parse():
     np.testing.assert_array_equal(again.home_ranks, data.home_ranks)
     np.testing.assert_allclose(again.movs, data.movs, rtol=0, atol=0)
     assert [g.date for g in again.games] == [g.date for g in data.games]
+
+
+_TEAM = st.text(alphabet="ABCxyz09 ,.'\"&-", max_size=12).map(str.strip)
+
+
+@st.composite
+def _games(draw):
+    n = draw(st.integers(1, 20))
+    return Dataset.from_games(
+        GameRecord(
+            date=draw(st.dates(datetime.date(1990, 1, 1), datetime.date(2040, 12, 31))),
+            home_team=draw(_TEAM),
+            road_team=draw(_TEAM),
+            home_rank=draw(st.integers(1, CUSTOMARY_MAX_RANK)),
+            road_rank=draw(st.integers(1, CUSTOMARY_MAX_RANK)),
+            home_score=draw(st.integers(0, 200)),
+            road_score=draw(st.integers(0, 200)),
+        )
+        for _ in range(n)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_games())
+def test_write_then_parse_is_a_round_trip(data):
+    assert parse_games(write_games(data)).games == data.games
+
+
+_N_AND_K = st.integers(2, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_N_AND_K, st.integers(0, 2**32))
+def test_fold_sizes_differ_by_at_most_one(n_and_k, seed):
+    n, k = n_and_k
+    folds = fold_assignments(n, k, seed)
+    sizes = [len(f) for f in folds]
+    assert len(folds) == k and max(sizes) - min(sizes) <= 1
+    assert sorted(np.concatenate(folds)) == list(range(n))
+
+
+def test_fold_splits_pair_each_fold_with_the_rest():
+    for (train_idx, held), want in zip(fold_splits(23, 4, 9), fold_assignments(23, 4, 9)):
+        np.testing.assert_array_equal(held, want)
+        np.testing.assert_array_equal(train_idx, np.setdiff1d(np.arange(23), want))
+    with pytest.raises(ParameterError):
+        fold_splits(5, 6, 0)
 
 
 def test_rotate_known_points():

@@ -1,7 +1,12 @@
-"""Gaussian kernel smoothing: both modes, fallbacks, bandwidth selection."""
+"""Gaussian kernel smoothing: one (sigma_x, sigma_y) smoother, fallbacks,
+bandwidth selection."""
+
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rankmargin.errors import DataError, DegeneratePredictionWarning, ParameterError
 from rankmargin.evaluate import fold_assignments
@@ -9,6 +14,7 @@ from rankmargin.kernel import (
     DEFAULT_SIGMA_GRID,
     DEFAULT_SIGMA_X_GRID,
     DEFAULT_SIGMA_Y_GRID,
+    KernelSmootherSpec,
     anisotropic_smoother,
     isotropic_smoother,
     predict_kernel,
@@ -152,6 +158,107 @@ def test_smoother_validation():
         isotropic_smoother(empty, 5.0)
     with pytest.raises(DataError):
         anisotropic_smoother(empty, 5.0, 5.0)
+
+
+def test_far_queries_warn_once_with_count():
+    data = make_dataset([1, 2, 3], [3, 2, 1], [5.0, -4.0, 9.0])
+    spec = anisotropic_smoother(data, 10.0, 4.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        preds = predict_kernel_arrays(spec, [2.0, 1e200, 3e200, 1e300], [2.0, 1e200, 1.0, 1e300])
+    assert np.isfinite(preds).all()
+    assert len(caught) == 1
+    assert issubclass(caught[0].category, DegeneratePredictionWarning)
+    assert str(caught[0].message).startswith("3 of 4 kernel predictions fell back")
+
+
+def test_ordinary_queries_do_not_warn():
+    data = generate_synthetic(50, seed=56, rank_max=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        predict_kernel_arrays(isotropic_smoother(data, 4.0), [1.0, 20.0], [20.0, 1.0])
+        select_sigma_loo(data, [2.0, 8.0])
+        select_aniso_cv(data, [10.0], [2.0, 4.0], folds=3, seed=0)
+
+
+def test_isotropic_is_equal_bandwidths():
+    data = generate_synthetic(40, seed=57, rank_max=20)
+    iso = isotropic_smoother(data, 6.5)
+    assert (iso.sigma_x, iso.sigma_y) == (6.5, 6.5)
+    same = KernelSmootherSpec(data.road_ranks, data.home_ranks, data.movs, 6.5, 6.5)
+    assert predict_kernel(iso, 3.5, 17.0) == predict_kernel(same, 3.5, 17.0)
+
+
+_GOOD = ([1, 4, 9], [2, 2, 7], [3.0, -1.0, 8.0])
+
+
+@pytest.mark.parametrize(
+    "road, home, movs, sigmas, error",
+    [
+        (*_GOOD, (float("nan"), 5.0), ParameterError),
+        (*_GOOD, (5.0, float("inf")), ParameterError),
+        (*_GOOD, (0.0, 5.0), ParameterError),
+        (*_GOOD, (5.0, -2.0), ParameterError),
+        ([1.7, 4.7, 9.7], *_GOOD[1:], (5.0, 5.0), DataError),
+        ([1, 4, float("nan")], *_GOOD[1:], (5.0, 5.0), DataError),
+        (_GOOD[0], [2, 0, 7], _GOOD[2], (5.0, 5.0), DataError),
+        (*_GOOD[:2], [3.0, float("inf"), 8.0], (5.0, 5.0), DataError),
+        (*_GOOD[:2], [3.0, -1.0], (5.0, 5.0), DataError),
+        ([], [], [], (5.0, 5.0), DataError),
+    ],
+    ids=[
+        "nan-sigma", "inf-sigma", "zero-sigma", "negative-sigma", "fractional-rank",
+        "nan-rank", "zero-rank", "inf-margin", "short-margins", "empty",
+    ],
+)
+def test_array_constructor_validation(road, home, movs, sigmas, error):
+    with pytest.raises(error):
+        KernelSmootherSpec(road, home, movs, *sigmas)
+
+
+@st.composite
+def _training(draw):
+    n = draw(st.integers(2, 30))
+    ranks = st.lists(st.integers(1, 40), min_size=n, max_size=n)
+    marks = st.lists(st.floats(-40, 40, allow_nan=False), min_size=n, max_size=n)
+    queries = st.lists(st.floats(0.5, 40.5, allow_nan=False), min_size=4, max_size=4)
+    return (
+        np.array(draw(ranks), dtype=float),
+        np.array(draw(ranks), dtype=float),
+        np.array(draw(marks)),
+        np.array(draw(marks)),
+        (draw(st.floats(0.5, 60.0)), draw(st.floats(0.5, 60.0))),
+        np.array(draw(queries)),
+        np.array(draw(queries)),
+    )
+
+
+_PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@_PROPERTY
+@given(_training(), st.randoms(use_true_random=False))
+def test_invariant_to_permuting_training_games(training, rnd):
+    road, home, movs, _, sigmas, qr, qh = training
+    order = list(range(len(movs)))
+    rnd.shuffle(order)
+    a = predict_kernel_arrays(KernelSmootherSpec(road, home, movs, *sigmas), qr, qh)
+    b = predict_kernel_arrays(
+        KernelSmootherSpec(road[order], home[order], movs[order], *sigmas), qr, qh
+    )
+    np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
+
+
+@_PROPERTY
+@given(_training(), st.floats(-3, 3), st.floats(-3, 3))
+def test_linear_in_margins(training, alpha, beta):
+    road, home, y1, y2, sigmas, qr, qh = training
+    p1 = predict_kernel_arrays(KernelSmootherSpec(road, home, y1, *sigmas), qr, qh)
+    p2 = predict_kernel_arrays(KernelSmootherSpec(road, home, y2, *sigmas), qr, qh)
+    mixed = predict_kernel_arrays(
+        KernelSmootherSpec(road, home, alpha * y1 + beta * y2, *sigmas), qr, qh
+    )
+    np.testing.assert_allclose(mixed, alpha * p1 + beta * p2, rtol=0, atol=1e-9)
 
 
 class TestIsotropicSelection:

@@ -12,6 +12,7 @@ from rankmargin.numerics import (
     evaluation_weights,
     f_cdf,
     fit_smoothing_spline,
+    min_ties_to_larger,
     weighted_least_squares,
 )
 
@@ -288,3 +289,16 @@ class TestEvaluation:
         f = fit_smoothing_spline(x, y, weights=w, target_df=4.0)
         assert f.effective_df == pytest.approx(4.0, abs=1e-6)
         assert f.lam > 0.0
+
+
+class TestMinTiesToLarger:
+    def test_smallest_score_wins(self):
+        assert min_ties_to_larger([(1.0, 5.0), (2.0, 3.0), (3.0, 4.0)]) == (2.0, 3.0)
+
+    def test_ties_go_to_the_larger_setting(self):
+        assert min_ties_to_larger([(2.0, 1.0), (3.0, 1.0), (1.0, 1.0)]) == (3.0, 1.0)
+        surface = [(10.0, 4.0, 2.0), (20.0, 2.0, 2.0), (20.0, 6.0, 2.0), (20.0, 4.0, 2.0)]
+        assert min_ties_to_larger(surface) == (20.0, 6.0, 2.0)
+
+    def test_single_entry(self):
+        assert min_ties_to_larger([(7.0, 9.0)]) == (7.0, 9.0)
