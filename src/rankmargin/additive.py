@@ -123,6 +123,17 @@ def fit_additive(
     )
 
 
+def check_df_per_term(train: Dataset, df_per_term: float) -> None:
+    """Raise ParameterError unless `fit_additive` accepts `df_per_term` on
+    `train`: it must lie in [2, m], m the fewer distinct ranks of the two
+    axes (the same limit `SplineSmoother.lambda_for_df` enforces)."""
+    m = min(len(np.unique(train.road_ranks)), len(np.unique(train.home_ranks)))
+    if not 2.0 <= df_per_term <= m + 1e-9:
+        raise ParameterError(
+            f"df per term must be in [2, {m}] for {m} distinct ranks, got {df_per_term}"
+        )
+
+
 def predict_additive(fit: AdditiveFit, road_rank: float, home_rank: float) -> float:
     """mu + f_road(road) + f_home(home); splines extrapolate linearly."""
     return float(

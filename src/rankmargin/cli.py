@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import models
-from .additive import AdditiveFit, component_band, fit_additive, predict_additive
+from .additive import AdditiveFit, check_df_per_term, component_band, fit_additive, predict_additive
 from .data import Dataset, SplitSpec, parse_games, split, training_arrays, write_games
 from .errors import ParameterError, RankMarginError
 from .evaluate import benchmark, lack_of_fit, pure_error
@@ -371,6 +371,8 @@ def cmd_report(args) -> int:
         else:
             spec = SplitSpec(train_count=train_count, mode="random", seed=args.seed + j - 1)
         pairs.append(split(data, spec))
+    for train, _ in pairs:  # before any tuning, which takes most of a report
+        check_df_per_term(train, args.df)
     tune_train = pairs[0][0]
 
     # Smoothing parameters are tuned on the first training set and reused

@@ -118,6 +118,29 @@ def training_arrays(road_ranks, home_ranks, movs):
     return road, home, movs
 
 
+def distinct_pairs(road, home):
+    """Group the equal (road, home) pairs of two equal-length vectors.
+
+    Returns (first, inverse, counts): group g holds `counts[g]` pairs, the
+    first of them at index `first[g]`, and pair i is in group `inverse[i]`.
+    Groups are numbered by first occurrence, so `road[first], home[first]`
+    lists the distinct pairs in input order. A stable lexsort compares the
+    two columns directly; a combined integer key could overflow.
+    """
+    road, home = np.asarray(road), np.asarray(home)
+    order = np.lexsort((home, road))
+    r, h = road[order], home[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (r[1:] != r[:-1]) | (h[1:] != h[:-1])
+    heads = order[starts]  # the stable sort puts each group's first index first
+    by_first = np.argsort(heads)
+    label = np.empty(len(heads), dtype=np.intp)
+    label[by_first] = np.arange(len(heads))
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = label[np.cumsum(starts) - 1]
+    return heads[by_first], inverse, np.bincount(inverse, minlength=len(heads))
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An ordered collection of games plus a replicate index.

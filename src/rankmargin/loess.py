@@ -11,7 +11,9 @@ open: points at d_max, including ties, get weight zero. Each rank axis is
 divided by its training standard deviation before distances are taken
 (disable with standardize=False to use raw ranks).
 
-Queries are predicted in blocks. For each block the query-by-training
+Each distinct query pair is predicted once and its result copied to every
+query at that pair (ranks are integers, so queries repeat). The distinct
+queries are predicted in blocks. For each block the query-by-training
 distance matrix is formed (4 MB per temporary), `np.partition` gives d_max
 and the third-nearest distance, and the weighted moments of
 [1, r, h, r^2, rh, h^2, y, ry, hy], centred on the training means, are
@@ -26,7 +28,7 @@ cancellation lost in recentring, exceeds COND_LIMIT. The exact path keeps
 the documented fallbacks: the mean at the query, the nearest-point mean,
 and the weighted mean for a small or collinear neighborhood. A call emits at
 most one DegeneratePredictionWarning, stating how many of its predictions
-fell back and why.
+fell back and why, counting every query at a fallen-back pair.
 
 Every step is computed per query row (elementwise operations, exact order
 statistics, one matrix-vector product and one 3x3 solve per row), so a
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, fold_splits
+from .data import Dataset, distinct_pairs, fold_splits
 from .errors import ParameterError, RankDeficientError, warn_fallbacks
 from .numerics import min_ties_to_larger, weighted_least_squares
 
@@ -127,10 +129,15 @@ def predict_loess_arrays(fit: LoessFit, road_ranks, home_ranks) -> np.ndarray:
 def _predict(fit: LoessFit, road_ranks, home_ranks, sizes) -> tuple[np.ndarray, Counter]:
     """Predictions at the queries for each neighborhood size in `sizes`.
 
-    Returns a (len(sizes), queries) array and the count of fallbacks by reason.
+    Returns a (len(sizes), queries) array and the count of fallbacks by
+    reason, counted per query.
     """
     r = np.atleast_1d(np.asarray(road_ranks, dtype=float))
     h = np.atleast_1d(np.asarray(home_ranks, dtype=float))
+    # each distinct query once; rows are independent, so copying a result to
+    # every query at its pair changes no bit
+    first, inverse, repeats = distinct_pairs(r, h)
+    r, h = r[first], h[first]
     n = len(fit.movs)
     mr, mh = fit.road_ranks.mean(), fit.home_ranks.mean()
     cr, ch, y = fit.road_ranks - mr, fit.home_ranks - mh, fit.movs
@@ -171,9 +178,9 @@ def _predict(fit: LoessFit, road_ranks, home_ranks, sizes) -> tuple[np.ndarray, 
             for j in np.flatnonzero(exact):
                 preds[j], why = _predict_exact(fit, q, rb[j], hb[j])
                 if why:
-                    fallbacks[why] += 1
+                    fallbacks[why] += int(repeats[start + j])
             out[i, start:start + len(rb)] = preds
-    return out, fallbacks
+    return out[:, inverse], fallbacks
 
 
 def _local_planes(feats, a, b, d, d_max, exact, w, t):

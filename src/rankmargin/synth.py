@@ -9,6 +9,7 @@ at 70 when the road team loses, the home score at 70 when it wins).
 from __future__ import annotations
 
 import datetime as dt
+import math
 
 import numpy as np
 
@@ -43,14 +44,15 @@ def generate_synthetic(
     with (b0..b4) = `coefficients`. Exact real-valued margins are kept by
     default; `round_margins=True` rounds them to integers (needed when the
     result will be written to CSV, whose schema wants integer scores).
-    Identical arguments always produce an identical dataset.
+    Identical arguments always produce an identical dataset. A noise or
+    coefficients that would put a score beyond 2**53 are rejected.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if rank_max < 2:
         raise ParameterError(f"rank_max must be >= 2, got {rank_max}")
-    if noise_sigma < 0:
-        raise ParameterError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ParameterError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     coefficients = tuple(float(c) for c in coefficients)
     if len(coefficients) != 5:
         raise ParameterError(f"expected 5 coefficients, got {len(coefficients)}")
@@ -64,6 +66,13 @@ def generate_synthetic(
     mov = b0 + b1 * road + b2 * home + b3 * road * road + b4 * home * home + noise
     if round_margins:
         mov = np.rint(mov)
+    # the larger score is 70 + |mov|; past 2**53 it is no longer held exactly
+    # as a float, so its margin would not survive a CSV round trip
+    if not 70.0 + np.abs(mov).max() <= 2.0**53:
+        raise ParameterError(
+            f"noise_sigma {noise_sigma} and coefficients {coefficients} give scores "
+            f"beyond 2**53"
+        )
 
     games = []
     for i in range(n):

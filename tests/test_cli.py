@@ -126,6 +126,22 @@ def test_fit_kernel_requires_sigma(games_csv, tmp_path, capsys):
     assert "--sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "model, flags",
+    [
+        ("kernel-iso", ["--sigma", "1e-200"]),
+        ("kernel-aniso", ["--sigma-x", "20", "--sigma-y", "1e-170"]),
+    ],
+)
+def test_fit_rejects_underflowing_bandwidth(games_csv, tmp_path, capsys, model, flags):
+    # its square is 0, so every scaled distance would be inf or nan
+    out = tmp_path / "k.json"
+    rc = cli.main(["fit", "--input", str(games_csv), "--model", model, *flags, "--out", str(out)])
+    assert rc == 2
+    assert "does not underflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_predict_reference_coefficients(tmp_path, capsys):
     model_file = tmp_path / "quad.json"
     model_file.write_text(
@@ -328,6 +344,7 @@ NAN = float("nan")
         ("kernel-iso", ["sigma"], NAN, "bandwidths must be finite and > 0"),
         ("kernel-iso", ["road_ranks"], lambda ranks: [r + 0.7 for r in ranks], "integers >= 1"),
         ("kernel-aniso", ["sigma_y"], 0.0, "bandwidths must be finite and > 0"),
+        ("kernel-iso", ["sigma"], 1e-200, "a square that does not underflow"),
         ("kernel-aniso", ["home_ranks", 0], 0, "integers >= 1"),
         ("kernel-aniso", ["movs", 3], NAN, "must be finite"),
         ("kernel-aniso", ["movs"], lambda movs: movs[:-1], "lists of one length"),
@@ -339,7 +356,8 @@ NAN = float("nan")
         ("gam", ["mu"], NAN, "mu and sigma_hat must be finite"),
     ],
     ids=[
-        "iso-nan-sigma", "iso-fractional-ranks", "aniso-zero-sigma", "aniso-zero-rank",
+        "iso-nan-sigma", "iso-fractional-ranks", "aniso-zero-sigma", "iso-underflowing-sigma",
+        "aniso-zero-rank",
         "aniso-nan-mov", "aniso-short-movs", "iso-empty-ranks", "quad-nan-beta0",
         "quad-inf-beta_hh", "gam-nan-value", "gam-nan-knot", "gam-nan-mu",
     ],
@@ -430,6 +448,28 @@ def test_report_rejects_bad_span(games_csv, tmp_path, capsys):
     assert "span" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--df", "inf"], "df per term must be in [2, "),
+        (["--df", "1"], "df per term must be in [2, "),
+        (["--sigma-grid", "1e-200,8"], "does not underflow"),
+    ],
+    ids=["inf-df", "small-df", "underflowing-sigma"],
+)
+def test_report_rejects_bad_smoothing_flags(games_csv, tmp_path, capsys, flags, message):
+    rc = cli.main(
+        [
+            "report", "--input", str(games_csv), "--span", "0.5",
+            "--sigma-x", "20", "--sigma-y", "5", *flags, "--out-dir", str(tmp_path),
+        ]
+    )
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    if "--df" in flags:  # checked right after the split, before any tuning
+        assert not (tmp_path / "loess_cv.csv").exists()
+
+
 REPORT_FILES = (
     "report.json",
     "report.txt",
@@ -496,6 +536,15 @@ def test_synth_deterministic(tmp_path):
     assert cli.main(["synth", "--n", "60", "--rank-max", "15", "--seed", "10", "--out", str(p3)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_bytes() != p3.read_bytes()
+
+
+@pytest.mark.parametrize("noise", ["nan", "1e300"])
+def test_synth_rejects_bad_noise(tmp_path, capsys, noise):
+    # 1e300 would write 300-digit scores, which no float margin holds exactly
+    out = tmp_path / "s.csv"
+    assert cli.main(["synth", "--n", "20", "--noise-sigma", noise, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_error_exit_code(capsys):

@@ -13,6 +13,7 @@ from rankmargin.data import (
     Dataset,
     GameRecord,
     SplitSpec,
+    distinct_pairs,
     fold_assignments,
     fold_splits,
     parse_games,
@@ -176,6 +177,35 @@ def test_fold_splits_pair_each_fold_with_the_rest():
         np.testing.assert_array_equal(train_idx, np.setdiff1d(np.arange(23), want))
     with pytest.raises(ParameterError):
         fold_splits(5, 6, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=40))
+def test_distinct_pairs_match_unique(pairs):
+    road, home = np.array(pairs).T
+    first, inverse, counts = distinct_pairs(road, home)
+    uniq, index, uinv, ucounts = np.unique(
+        np.array(pairs), axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    by_first = np.argsort(index)  # groups numbered by first occurrence
+    label = np.empty_like(by_first)
+    label[by_first] = np.arange(len(by_first))
+    np.testing.assert_array_equal(first, index[by_first])
+    np.testing.assert_array_equal(inverse, label[uinv.ravel()])
+    np.testing.assert_array_equal(counts, ucounts[by_first])
+
+
+def test_distinct_pairs_of_huge_ranks():
+    # road * base + home would overflow int64 here
+    big = 2**62
+    road = np.array([big, 1, big, big - 1, 1], dtype=np.int64)
+    home = np.array([3, big, 3, 3, big], dtype=np.int64)
+    first, inverse, counts = distinct_pairs(road, home)
+    np.testing.assert_array_equal(first, [0, 1, 3])
+    np.testing.assert_array_equal(inverse, [0, 1, 0, 2, 1])
+    np.testing.assert_array_equal(counts, [2, 2, 1])
+    empty = distinct_pairs(np.array([]), np.array([]))
+    assert all(len(a) == 0 for a in empty)
 
 
 def test_rotate_known_points():

@@ -1,6 +1,7 @@
 """Gaussian kernel smoothing: one (sigma_x, sigma_y) smoother, fallbacks,
 bandwidth selection."""
 
+import math
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rankmargin.data import rotate_arrays
 from rankmargin.errors import DataError, DegeneratePredictionWarning, ParameterError
 from rankmargin.evaluate import fold_assignments
 from rankmargin.kernel import (
@@ -172,6 +174,21 @@ def test_far_queries_warn_once_with_count():
     assert str(caught[0].message).startswith("3 of 4 kernel predictions fell back")
 
 
+def test_repeated_far_queries_count_per_query():
+    # the four far queries share one distinct pair but are four fallbacks
+    data = make_dataset([1, 2, 3, 3], [3, 2, 1, 1], [5.0, -4.0, 9.0, 1.0])
+    spec = isotropic_smoother(data, 10.0)
+    qr = [2.0, 1e200, 1e200, 2.0, 1e200, 1e200]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        preds = predict_kernel_arrays(spec, qr, qr)
+    assert len(caught) == 1
+    assert str(caught[0].message).startswith("4 of 6 kernel predictions fell back")
+    # the first game at the nearest pair (every pair ties at inf: the first)
+    assert preds[1] == preds[2] == preds[4] == preds[5] == 5.0
+    assert preds[0] == preds[3]
+
+
 def test_ordinary_queries_do_not_warn():
     data = generate_synthetic(50, seed=56, rank_max=20)
     with warnings.catch_warnings():
@@ -199,6 +216,7 @@ _GOOD = ([1, 4, 9], [2, 2, 7], [3.0, -1.0, 8.0])
         (*_GOOD, (5.0, float("inf")), ParameterError),
         (*_GOOD, (0.0, 5.0), ParameterError),
         (*_GOOD, (5.0, -2.0), ParameterError),
+        (*_GOOD, (1e-200, 5.0), ParameterError),
         ([1.7, 4.7, 9.7], *_GOOD[1:], (5.0, 5.0), DataError),
         ([1, 4, float("nan")], *_GOOD[1:], (5.0, 5.0), DataError),
         (_GOOD[0], [2, 0, 7], _GOOD[2], (5.0, 5.0), DataError),
@@ -207,7 +225,8 @@ _GOOD = ([1, 4, 9], [2, 2, 7], [3.0, -1.0, 8.0])
         ([], [], [], (5.0, 5.0), DataError),
     ],
     ids=[
-        "nan-sigma", "inf-sigma", "zero-sigma", "negative-sigma", "fractional-rank",
+        "nan-sigma", "inf-sigma", "zero-sigma", "negative-sigma", "underflowing-sigma",
+        "fractional-rank",
         "nan-rank", "zero-rank", "inf-margin", "short-margins", "empty",
     ],
 )
@@ -249,6 +268,32 @@ def test_invariant_to_permuting_training_games(training, rnd):
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
 
 
+def _weighted_reference(road, home, movs, weights, sigmas, qr, qh):
+    # per-game Nadaraya-Watson with game weights, relative to the nearest game
+    x, y = rotate_arrays(road, home)
+    out = []
+    for r, h in zip(qr, qh):
+        x0, y0 = rotate_arrays(r, h)
+        q = ((x - x0) / sigmas[0]) ** 2 + ((y - y0) / sigmas[1]) ** 2
+        w = weights * np.exp(-(q - q.min()) / 2)
+        out.append(math.fsum(w * movs) / math.fsum(w))
+    return np.array(out)
+
+
+@_PROPERTY
+@given(_training(), st.data())
+def test_duplicated_game_is_count_weight_two(training, data):
+    road, home, movs, _, sigmas, qr, qh = training
+    dup = np.array(data.draw(st.lists(st.integers(0, len(movs) - 1), max_size=len(movs))), dtype=int)
+    spec = KernelSmootherSpec(
+        np.append(road, road[dup]), np.append(home, home[dup]), np.append(movs, movs[dup]), *sigmas
+    )
+    weights = np.ones(len(movs))
+    np.add.at(weights, dup, 1.0)
+    want = _weighted_reference(road, home, movs, weights, sigmas, qr, qh)
+    np.testing.assert_allclose(predict_kernel_arrays(spec, qr, qh), want, rtol=0, atol=1e-12)
+
+
 @_PROPERTY
 @given(_training(), st.floats(-3, 3), st.floats(-3, 3))
 def test_linear_in_margins(training, alpha, beta):
@@ -276,6 +321,34 @@ class TestIsotropicSelection:
         for sigma, got in curve:
             want = oracles.kernel_loo_rmse_reference(self.ROAD, self.HOME, self.MOVS, sigma)
             assert got == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("sigma", [1e-3, 0.05, 1.0])
+    def test_loo_on_replicated_pairs_matches_refit_oracle(self, sigma):
+        # every game shares its pair with others, so the own-pair rest carries
+        # the prediction at small sigma, where other pairs' weights underflow
+        rng = np.random.default_rng(58)
+        cells = [(3, 4), (3, 5), (4, 4), (10, 2), (1, 1), (7, 9)]
+        pairs = [cell for cell, k in zip(cells, [7, 2, 3, 4, 2, 6]) for _ in range(k)]
+        road, home = (list(axis) for axis in zip(*rng.permutation(pairs)))
+        movs = list(rng.integers(-30, 31, len(road)).astype(float))
+        _, curve = select_sigma_loo(make_dataset(road, home, movs), [sigma])
+        want = oracles.kernel_loo_rmse_reference(road, home, movs, sigma)
+        assert curve[0][1] == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+    def test_loo_overflow_fallback_skips_the_left_out_game(self):
+        # game 0 is alone, and every other pair is at an overflowing distance:
+        # it takes the first margin at the next pair, not its own margin
+        data = make_dataset([10**160, 1, 1, 2], [1, 1, 1, 2], [100.0, 4.0, 6.0, 8.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("default", DegeneratePredictionWarning)
+            _, curve = select_sigma_loo(data, [1.0])
+        assert len(caught) == 1
+        assert str(caught[0].message).startswith("1 of 4 kernel predictions fell back")
+        w = math.exp(-1.0)  # the pairs (1, 1) and (2, 2) are sqrt(2) apart
+        preds = [4.0, (6.0 + 8.0 * w) / (1.0 + w), (4.0 + 8.0 * w) / (1.0 + w), 5.0]
+        err = np.subtract(preds, data.movs)
+        assert curve[0][1] == pytest.approx(math.sqrt(err @ err / 4), rel=1e-13)
 
     def test_loo_curve_dips_once(self):
         data = make_dataset(self.ROAD, self.HOME, self.MOVS)
@@ -306,6 +379,8 @@ class TestIsotropicSelection:
             select_sigma_loo(data, [])
         with pytest.raises(ParameterError):
             select_sigma_loo(data, [5.0, 0.0])
+        with pytest.raises(ParameterError):
+            select_sigma_loo(data, [5.0, 1e-200])
         with pytest.raises(DataError):
             select_sigma_loo(data.subset(np.array([0])), [5.0])
 
@@ -359,5 +434,7 @@ class TestAnisotropicSelection:
             select_aniso_cv(data, sigma_x_grid=[], sigma_y_grid=[5.0])
         with pytest.raises(ParameterError):
             select_aniso_cv(data, sigma_x_grid=[5.0], sigma_y_grid=[0.0])
+        with pytest.raises(ParameterError):
+            select_aniso_cv(data, sigma_x_grid=[1e-170], sigma_y_grid=[5.0])
         with pytest.raises(ParameterError):
             select_aniso_cv(data, sigma_x_grid=[5.0], sigma_y_grid=[5.0], folds=31)

@@ -233,6 +233,18 @@ class TestBatchedPrediction:
         monkeypatch.setattr(loess, "BLOCK_ELEMENTS", 7 * len(data))
         np.testing.assert_array_equal(whole, predict_loess_arrays(fit, road, home))
 
+    def test_repeated_queries_match_single_queries(self, monkeypatch):
+        # each distinct pair is predicted once and copied; 400 queries on a
+        # 30 x 30 grid repeat, and small blocks split the distinct ones
+        data = generate_synthetic(600, seed=23, rank_max=30)
+        fit = fit_loess(data, 0.3)
+        rng = np.random.default_rng(23)
+        road, home = rng.integers(1, 31, size=(2, 400)).astype(float)
+        assert len(set(zip(road, home))) < 350
+        monkeypatch.setattr(loess, "BLOCK_ELEMENTS", 7 * len(data))
+        got = predict_loess_arrays(fit, road, home)
+        np.testing.assert_array_equal(got, [predict_loess(fit, r, h) for r, h in zip(road, home)])
+
     def test_span_cv_matches_per_span_prediction(self):
         data = generate_synthetic(240, seed=22, rank_max=40)
         grid = [0.2, 0.45, 0.7]

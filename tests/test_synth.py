@@ -85,5 +85,10 @@ def test_parameter_validation():
         generate_synthetic(10, rank_max=1, seed=0)
     with pytest.raises(ParameterError):
         generate_synthetic(10, noise_sigma=-1.0, seed=0)
+    for noise in (float("nan"), float("inf"), 1e300):
+        with pytest.raises(ParameterError):
+            generate_synthetic(10, noise_sigma=noise, seed=0)
+    with pytest.raises(ParameterError):  # a score past 2**53
+        generate_synthetic(10, coefficients=(2.0**53, 0, 0, 0, 0), noise_sigma=0.0, seed=0)
     with pytest.raises(ParameterError):
         generate_synthetic(10, coefficients=(1.0, 2.0), seed=0)
