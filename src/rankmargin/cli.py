@@ -33,6 +33,7 @@ from .evaluate import benchmark, lack_of_fit, pure_error
 from .kernel import (
     KernelSmootherSpec,
     anisotropic_smoother,
+    bandwidth_grid,
     isotropic_smoother,
     predict_kernel,
     select_aniso_cv,
@@ -353,6 +354,13 @@ def _kernel_curve_csv(iso_curve, aniso_surface) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _bandwidth_flags(pin, grid_text, name):
+    """The grid `report` searches for one bandwidth: the pinned value, else
+    the grid flag, else None for the default. Every value given is checked."""
+    grid = bandwidth_grid(_float_list(grid_text), name) if grid_text else None
+    return bandwidth_grid([pin], name) if pin is not None else grid
+
+
 def cmd_report(args) -> int:
     data = _read_dataset(args.input)
     n = len(data)
@@ -373,6 +381,9 @@ def cmd_report(args) -> int:
         pairs.append(split(data, spec))
     for train, _ in pairs:  # before any tuning, which takes most of a report
         check_df_per_term(train, args.df)
+    sigma_grid = _bandwidth_flags(args.sigma, args.sigma_grid, "sigma")
+    sx_grid = _bandwidth_flags(args.sigma_x, args.sigma_x_grid, "sigma_x")
+    sy_grid = _bandwidth_flags(args.sigma_y, args.sigma_y_grid, "sigma_y")
     tune_train = pairs[0][0]
 
     # Smoothing parameters are tuned on the first training set and reused
@@ -383,16 +394,7 @@ def cmd_report(args) -> int:
     chosen_span, loess_curve = select_span_cv(
         tune_train, span_grid, folds=args.folds, seed=args.seed
     )
-    sigma_grid = [args.sigma] if args.sigma is not None else (
-        _float_list(args.sigma_grid) if args.sigma_grid else None
-    )
     chosen_sigma, iso_curve = select_sigma_loo(tune_train, sigma_grid)
-    sx_grid = [args.sigma_x] if args.sigma_x is not None else (
-        _float_list(args.sigma_x_grid) if args.sigma_x_grid else None
-    )
-    sy_grid = [args.sigma_y] if args.sigma_y is not None else (
-        _float_list(args.sigma_y_grid) if args.sigma_y_grid else None
-    )
     (chosen_sx, chosen_sy), aniso_surface = select_aniso_cv(
         tune_train, sx_grid, sy_grid, folds=args.folds, seed=args.seed
     )

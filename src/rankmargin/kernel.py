@@ -6,26 +6,36 @@ one smoother: the rank plane is rotated 45 degrees (x along rank sum, y along
 rank difference) and each rotated axis has its own bandwidth. The rotation is
 an isometry, so the isotropic smoother is the case sigma_x = sigma_y.
 
-Ranks are integers, so many games share a rank pair. Every computation runs
-on distinct pairs (binned kernel estimation, exact here): a training set is
-collapsed to its distinct pairs with their game counts n_g and margin sums
-S_g, so a weighted mean is sum_g w_g S_g / sum_g w_g n_g, and each distinct
-query is predicted once and its result copied to every query at that pair.
+Kernel sums are evaluated on the rank lattice. With s = r + h = x sqrt 2 and
+d = r - h = y sqrt 2, the weight factors exactly into one term per axis,
+exp(-(s - s')^2 / (4 sigma_x^2)) * exp(-(d - d')^2 / (4 sigma_y^2)). Ranks
+are integers, so the training games bin exactly onto a sparse lattice A of
+margin sums and game counts, one row per distinct training d and one column
+per distinct training s (binned kernel estimation, exact here). Queries with
+distinct sums u and differences v need one exp table per axis, Tx (u by s)
+and Ty (v by d), one sparse product C = A @ Tx^T and one row-wise
+contraction of C with Ty, giving each query's margin sum F_S and game count
+F_N; the prediction is F_S / F_N. In the grid searches one C per sigma_x
+serves every sigma_y. Each table row is shifted by its query's nearest
+training value on that axis, so that factor is exactly 1.
 
-Weight ratios are what matter, so weights are computed relative to the
-closest pair: exp(-(q - q_min) / 2) with q the squared scaled distance.
-That keeps the weight sum >= 1 no matter how far the query sits, instead of
-underflowing to 0/0. A query whose distances all overflow takes the margin
-of the first training game at its nearest pair, and the call's one
-DegeneratePredictionWarning counts such predictions per original query (per
-game and bandwidth in the grid searches).
+Leave-one-out needs no second pass: a training game's own pair is at
+distance 0 on both axes, so its weight is exactly 1 * 1 and the prediction
+without game i is (F_S - y_i) / (F_N - 1).
 
-Leave-one-out excludes a game's own pair g from the kernel sums A_g, B_g and
-adds the rest of that pair back exactly, pred = (A_g + S_g - y) / (B_g +
-n_g - 1). The weights are taken relative to the own pair (shift 0) when it
-holds other games, else to the nearest other pair, so no large terms
-cancel however small the bandwidth. Prediction, leave-one-out and k-fold
-selection all form weights in place on distance blocks.
+Two kinds of row take the exact path, a direct sum over the training games
+in rotated coordinates with weights relative to the nearest game:
+- a prediction whose nearest game may be far: half its squared scaled
+  distance is at least E - ln F_N (E that of the per-axis nearest values),
+  and this bound exceeds _NEAR. That covers an F_N that underflows (the
+  per-axis nearest values belong to pairs far apart) or is not finite, and
+  a query far from the data, where the direct sum rounds q at its own scale
+  as the per-game references do. If every distance overflows, the row takes
+  the margin of the first training game at the smallest distance;
+- a leave-one-out row whose own pair dominates, F_N - 1 < _OWN_SHARE * F_N,
+  where the subtraction would cancel (a lone game far from all others).
+Each call emits at most one DegeneratePredictionWarning, counting overflow
+fallbacks per original query (per game and bandwidth in the grid searches).
 """
 
 from __future__ import annotations
@@ -46,27 +56,37 @@ DEFAULT_SIGMA_GRID = tuple(np.geomspace(1.0, 200.0, 40))
 DEFAULT_SIGMA_X_GRID = tuple(float(v) for v in range(10, 101, 10))
 DEFAULT_SIGMA_Y_GRID = tuple(float(v) for v in range(2, 41, 2))
 
-_QUERY_BLOCK = 1024
+_BLOCK = 1 << 19  # elements in one temporary block
+_CHUNK = 1 << 20  # queries per chunk times the longer lattice axis
+_NEAR = 4.0  # rows whose nearest game may be farther take the direct sum
+_OWN_SHARE = 1e-2  # a leave-one-out row cancels in F_N - 1 below this share
 _OVERFLOW = "distances overflowed (margin at the smallest distance)"
 
 
-class _Pairs(NamedTuple):
-    """Training games collapsed to their distinct rank pairs: rotated
-    coordinates, game counts, margin sums and the first game's margin."""
+class _Lattice(NamedTuple):
+    """Training games binned by rank sum s (columns) and difference d (rows),
+    occupied cells in (d, s) order, plus the games for the exact path."""
 
-    x: np.ndarray
-    y: np.ndarray
-    counts: np.ndarray
-    sums: np.ndarray
-    first_movs: np.ndarray
+    s: np.ndarray  # distinct training sums, ascending
+    d: np.ndarray  # distinct training differences, ascending
+    cell_s: np.ndarray  # column of each cell
+    cell_d: np.ndarray  # row of each cell
+    row_starts: np.ndarray  # first cell of each row
+    weights: np.ndarray  # (2, cells): margin sums and game counts
+    game_cell: np.ndarray
+    road: np.ndarray
+    home: np.ndarray
+    movs: np.ndarray
 
 
-def _collapse(road, home, movs) -> tuple[_Pairs, np.ndarray]:
-    """The distinct pairs of a training set, and each game's pair index."""
-    first, inverse, counts = distinct_pairs(road, home)
-    x, y = rotate_arrays(road[first], home[first])
-    sums = np.bincount(inverse, weights=movs, minlength=len(first))
-    return _Pairs(x, y, counts.astype(float), sums, movs[first]), inverse
+def _lattice(road, home, movs) -> _Lattice:
+    s, s_idx = np.unique(road + home, return_inverse=True)
+    d, d_idx = np.unique(road - home, return_inverse=True)
+    cells, game_cell = np.unique(d_idx * len(s) + s_idx, return_inverse=True)
+    cell_d, cell_s = np.divmod(cells, len(s))
+    weights = np.stack([np.bincount(game_cell, w, len(cells)) for w in (movs, None)])
+    row_starts = np.searchsorted(cell_d, np.arange(len(d)))
+    return _Lattice(s, d, cell_s, cell_d, row_starts, weights, game_cell, road, home, movs)
 
 
 def _bandwidth_ok(s: float) -> bool:
@@ -78,7 +98,7 @@ def _bandwidth_ok(s: float) -> bool:
 class KernelSmootherSpec:
     """A fitted (lazy) kernel smoother. Construction validates the arrays (see
     `data.training_arrays`) and the bandwidths (finite and > 0, with a square
-    that does not underflow), and collapses the games to `pairs`. The
+    that does not underflow), and bins the games onto `lattice`. The
     per-game arrays are kept as given, for the model file."""
 
     road_ranks: np.ndarray
@@ -86,7 +106,7 @@ class KernelSmootherSpec:
     movs: np.ndarray
     sigma_x: float
     sigma_y: float
-    pairs: _Pairs = field(init=False, repr=False)
+    lattice: _Lattice = field(init=False, repr=False)
 
     def __post_init__(self):
         sx, sy = float(self.sigma_x), float(self.sigma_y)
@@ -98,7 +118,7 @@ class KernelSmootherSpec:
         road, home, movs = training_arrays(self.road_ranks, self.home_ranks, self.movs)
         # frozen: store the coerced values past the dataclass's __setattr__
         vars(self).update(road_ranks=road, home_ranks=home, movs=movs,
-                          sigma_x=sx, sigma_y=sy, pairs=_collapse(road, home, movs)[0])
+                          sigma_x=sx, sigma_y=sy, lattice=_lattice(road, home, movs))
 
 
 def isotropic_smoother(train: Dataset, sigma: float) -> KernelSmootherSpec:
@@ -109,47 +129,101 @@ def anisotropic_smoother(train: Dataset, sigma_x: float, sigma_y: float) -> Kern
     return KernelSmootherSpec(train.road_ranks, train.home_ranks, train.movs, sigma_x, sigma_y)
 
 
-def _blocks(x0, y0, x, y, sigma_x=1.0, sigma_y=1.0):
-    """Yield (rows, squared scaled distances) for blocks of rows of the
-    points (x0, y0) against the points (x, y), all in one reused buffer."""
-    out = np.empty((min(len(x0), _QUERY_BLOCK), len(x)))
-    scratch = np.empty_like(out)
-    for start in range(0, len(x0), _QUERY_BLOCK):
-        rows = slice(start, start + _QUERY_BLOCK)
-        q, t = out[: len(x0[rows])], scratch[: len(x0[rows])]
-        np.subtract.outer(x0[rows], x, out=q)
-        q *= q
-        q /= sigma_x * sigma_x
-        np.subtract.outer(y0[rows], y, out=t)
-        t *= t
-        t /= sigma_y * sigma_y
-        q += t
-        yield rows, q
+def _nearest(t, q):
+    """The value of the ascending `t` nearest each query value."""
+    hi = np.minimum(np.searchsorted(t, q), len(t) - 1)
+    lo = np.maximum(hi - 1, 0)
+    return np.where(q - t[lo] <= t[hi] - q, t[lo], t[hi])
 
 
-def _kernel_sums(q, pairs: _Pairs):
-    """Overwrite the shifted squared scaled distances `q` with the weights
-    exp(-q / 2) and return each row's (sum w S_g, sum w n_g)."""
-    q *= -0.5
-    np.exp(q, out=q)
-    return q @ pairs.sums, q @ pairs.counts
+def _factors(q, t, sigma):
+    """One axis of the weights, query values `q` (rows) by training values
+    `t` (columns), each row relative to its nearest t."""
+    e = np.square(np.subtract.outer(q, t))
+    e -= np.square(q - _nearest(t, q))[:, None]
+    e /= -4.0 * sigma * sigma
+    return np.exp(e, out=e)
 
 
-def _weighted_means(q, pairs: _Pairs, fallbacks: Counter, query_counts):
-    """Kernel-weighted mean margins, one per row of squared scaled distances
-    `q` to the training pairs; `q` is overwritten. A row whose smallest q is
-    not finite (its distances overflowed) gets the margin of the first game
-    at its nearest pair, and its `query_counts` entry is added to
-    `fallbacks`."""
-    q_min = q.min(axis=1)
-    bad = ~np.isfinite(q_min)
-    nearest = pairs.first_movs[np.argmin(q[bad], axis=1)]
-    q -= q_min[:, None]
-    sums, counts = _kernel_sums(q, pairs)
-    means = sums / counts
-    means[bad] = nearest
-    fallbacks[_OVERFLOW] += int(query_counts[bad].sum())
-    return means
+def _kernel_sums(lat: _Lattice, u, v, xs, ys):
+    """(F_S, F_N) at the distinct query points (u, v) for every bandwidth pair
+    of the grid xs by ys: shape (len(xs), len(ys), 2, len(u)). Queries go in
+    chunks sorted by u, and temporaries in blocks, to bound memory."""
+    out = np.empty((len(xs), len(ys), 2, len(u)))
+    order = np.lexsort((v, u))
+    chunk = max(1, _CHUNK // max(len(lat.s), len(lat.d)))
+    u_step, q_step = max(1, _BLOCK // len(lat.cell_s)), max(1, _BLOCK // len(lat.d))
+    with np.errstate(over="ignore", invalid="ignore"):  # absurdly distant queries
+        for start in range(0, len(u), chunk):
+            idx = order[start:start + chunk]
+            us, qu = np.unique(u[idx], return_inverse=True)
+            vs, qv = np.unique(v[idx], return_inverse=True)
+            for xi, sx in enumerate(xs):
+                tx = _factors(us, lat.s, sx)
+                c = np.empty((2, len(us), len(lat.d)))
+                for b in range(0, len(us), u_step):
+                    c[:, b:b + u_step] = _lattice_product(lat, tx[b:b + u_step])
+                for yi, sy in enumerate(ys):
+                    ty = _factors(vs, lat.d, sy)
+                    for b in range(0, len(idx), q_step):
+                        q = slice(b, b + q_step)
+                        out[xi, yi][:, idx[q]] = np.einsum("kql,ql->kq", c[:, qu[q]], ty[qv[q]])
+    return out
+
+
+def _lattice_product(lat: _Lattice, tx):
+    """C^T = Tx @ A^T for the margin sums and the game counts: each lattice
+    row's cells, weighted, summed."""
+    cells = tx.take(lat.cell_s, axis=1)
+    return np.stack([np.add.reduceat(cells * w, lat.row_starts, axis=1) for w in lat.weights])
+
+
+def _direct_means(r, h, lat: _Lattice, sigma_x, sigma_y, own=None):
+    """The exact path: means at the rank pairs (r, h) by direct sums over the
+    training games, leaving out each row's `own` game (leave-one-out) if
+    given. Returns (means, fell); a row in `fell` had every distance
+    overflow and takes the margin of the first other game at its smallest."""
+    x0, y0 = rotate_arrays(r, h)
+    x, y = rotate_arrays(lat.road, lat.home)
+    means, fell = np.empty(len(x0)), np.zeros(len(x0), dtype=bool)
+    step = max(1, _BLOCK // len(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(x0), step):
+            rows = slice(start, start + step)
+            q = np.square(np.subtract.outer(x0[rows], x) / sigma_x)
+            q += np.square(np.subtract.outer(y0[rows], y) / sigma_y)
+            if own is not None:
+                q[np.arange(len(q)), own[rows]] = np.inf
+            q_min = q.min(axis=1)
+            bad = ~np.isfinite(q_min)
+            nearest = np.argmin(q[bad], axis=1)
+            if own is not None:  # every distance ties at inf and the own game is game 0
+                nearest[nearest == own[rows][bad]] = 1
+            q -= q_min[:, None]
+            q *= -0.5
+            np.exp(q, out=q)
+            block = (q @ lat.movs) / q.sum(axis=1)
+            block[bad] = lat.movs[nearest]
+            means[rows], fell[rows] = block, bad
+    return means, fell
+
+
+def _means(lat: _Lattice, r, h, sums, sigma_x, sigma_y, counts):
+    """Kernel-weighted means at the distinct query pairs (r, h) from their
+    lattice sums, with the exact path for far rows. Returns (means,
+    fallbacks counted per original query, rows on the exact path)."""
+    u, v = r + h, r - h
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        means = sums[0] / sums[1]
+        # a lower bound on half the nearest game's squared scaled distance
+        near = (np.square((u - _nearest(lat.s, u)) / (2.0 * sigma_x))
+                + np.square((v - _nearest(lat.d, v)) / (2.0 * sigma_y)) - np.log(sums[1]))
+    exact = ~(near <= _NEAR)
+    fallen = 0
+    if exact.any():
+        means[exact], fell = _direct_means(r[exact], h[exact], lat, sigma_x, sigma_y)
+        fallen = int(counts[exact][fell].sum())
+    return means, fallen, int(exact.sum())
 
 
 def predict_kernel(spec: KernelSmootherSpec, road_rank: float, home_rank: float) -> float:
@@ -157,25 +231,28 @@ def predict_kernel(spec: KernelSmootherSpec, road_rank: float, home_rank: float)
     return float(predict_kernel_arrays(spec, [road_rank], [home_rank])[0])
 
 
-def predict_kernel_arrays(spec: KernelSmootherSpec, road_ranks, home_ranks) -> np.ndarray:
-    """Vectorized predictions, each distinct query pair once, in blocks of
-    queries to bound memory; one DegeneratePredictionWarning counts the
-    queries whose distances overflowed."""
+def _predict(spec: KernelSmootherSpec, road_ranks, home_ranks):
+    """(predictions, overflow fallbacks, rows on the exact path)."""
     r = np.atleast_1d(np.asarray(road_ranks, dtype=float))
     h = np.atleast_1d(np.asarray(home_ranks, dtype=float))
     first, inverse, counts = distinct_pairs(r, h)
-    qx, qy = rotate_arrays(r[first], h[first])
-    means = np.empty(len(first))
-    fallbacks = Counter()
-    with np.errstate(over="ignore", invalid="ignore"):  # absurdly distant queries
-        for rows, q in _blocks(qx, qy, spec.pairs.x, spec.pairs.y, spec.sigma_x, spec.sigma_y):
-            means[rows] = _weighted_means(q, spec.pairs, fallbacks, counts[rows])
-    warn_fallbacks("kernel", fallbacks, len(r))
-    return means[inverse]
+    r, h = r[first], h[first]
+    sums = _kernel_sums(spec.lattice, r + h, r - h, [spec.sigma_x], [spec.sigma_y])[0, 0]
+    means, fallen, exact = _means(spec.lattice, r, h, sums, spec.sigma_x, spec.sigma_y, counts)
+    return means[inverse], fallen, exact
 
 
-def _grid(values, default, name):
-    grid = [float(s) for s in (default if values is None else values)]
+def predict_kernel_arrays(spec: KernelSmootherSpec, road_ranks, home_ranks) -> np.ndarray:
+    """Vectorized predictions, each distinct query pair once."""
+    preds, fallen, _ = _predict(spec, road_ranks, home_ranks)
+    warn_fallbacks("kernel", Counter({_OVERFLOW: fallen}), len(preds))
+    return preds
+
+
+def bandwidth_grid(values, name):
+    """The bandwidths `values` as floats, checked: at least one, each finite
+    and > 0 with a square that does not underflow."""
+    grid = [float(s) for s in values]
     if not grid:
         raise ParameterError(f"{name} grid is empty")
     if not all(_bandwidth_ok(s) for s in grid):
@@ -186,53 +263,66 @@ def _grid(values, default, name):
     return grid
 
 
+def _loo(train: Dataset, grid):
+    """Leave-one-out squared errors summed per bandwidth of `grid`, with the
+    overflow fallbacks and the rows on the exact path."""
+    lat = _lattice(train.road_ranks, train.home_ranks, train.movs)
+    u, v = lat.s[lat.cell_s], lat.d[lat.cell_d]
+    games = np.arange(len(lat.movs))
+    preds = np.empty((len(grid), len(games)))
+    fallen = exact_rows = 0
+    for gi, sigma in enumerate(grid):
+        f_s, f_n = _kernel_sums(lat, u, v, [sigma], [sigma])[0, 0][:, lat.game_cell]
+        rest = f_n - 1.0  # the own pair weighs exactly 1 * 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            preds[gi] = (f_s - lat.movs) / rest
+        exact = ~(rest >= _OWN_SHARE * f_n)
+        if exact.any():
+            preds[gi, exact], fell = _direct_means(
+                lat.road[exact], lat.home[exact], lat, sigma, sigma, own=games[exact]
+            )
+            fallen += int(fell.sum())
+            exact_rows += int(exact.sum())
+    preds -= lat.movs
+    return np.einsum("ij,ij->i", preds, preds), fallen, exact_rows
+
+
 def select_sigma_loo(train: Dataset, sigma_grid=None):
     """Pick the isotropic bandwidth by leave-one-out cross-validation.
 
-    Exact O(G^2) summation over the G distinct training pairs: each pair's
-    kernel sums over the other pairs, every bandwidth of the grid from one
-    block of distances, then the rest of each game's own pair added back.
-    Returns (best_sigma, curve) with curve a list of (sigma, rmse) in grid
-    order. Ties break toward the larger sigma.
+    One lattice evaluation per bandwidth at the distinct training pairs,
+    then each game's own weight of exactly 1 taken out. Returns
+    (best_sigma, curve) with curve a list of (sigma, rmse) in grid order.
+    Ties break toward the larger sigma.
     """
-    grid = _grid(sigma_grid, DEFAULT_SIGMA_GRID, "sigma")
+    grid = bandwidth_grid(DEFAULT_SIGMA_GRID if sigma_grid is None else sigma_grid, "sigma")
     n = len(train)
     if n < 2:
         raise DataError("leave-one-out needs at least 2 games")
-    movs = train.movs
-    pairs, inverse = _collapse(train.road_ranks, train.home_ranks, movs)
-    g = len(pairs.counts)
-    a, b = np.empty((len(grid), g)), np.empty((len(grid), g))
-    q = np.empty((min(g, _QUERY_BLOCK), g))
-    alone = pairs.counts == 1
-    fallen = 0
-    for rows, d2 in _blocks(pairs.x, pairs.y, pairs.x, pairs.y):
-        k = len(d2)
-        own = np.arange(rows.start, rows.start + k)
-        d2[np.arange(k), own] = np.inf  # the own pair is added back below
-        d_min = d2.min(axis=1)
-        # a lone game with every other pair overflowed takes the first
-        # margin at the nearest other pair, which is never its own
-        bad = alone[rows] & ~np.isfinite(d_min)
-        nearest = np.argmin(d2[bad], axis=1)
-        nearest[nearest == own[bad]] = 1  # all tie at inf and its own pair is pair 0
-        # the nearest weight stays 1 however small sigma is: the own pair's
-        # when it holds other games, else the nearest other pair's
-        d2 -= np.where(alone[rows] & ~bad, d_min, 0.0)[:, None]
-        for gi, sigma in enumerate(grid):
-            a[gi, rows], b[gi, rows] = _kernel_sums(np.divide(d2, sigma * sigma, out=q[:k]), pairs)
-        # a lone game adds nothing back, so this makes its prediction exact
-        a[:, rows][:, bad] = pairs.first_movs[nearest]
-        b[:, rows][:, bad] = 1.0
-        fallen += int(bad.sum())
-    rest_sums = pairs.sums[inverse] - movs  # the other games at each game's pair
-    rest_counts = pairs.counts[inverse] - 1.0
-    preds = (a[:, inverse] + rest_sums) / (b[:, inverse] + rest_counts)
-    preds -= movs
-    total_sq = np.einsum("ij,ij->i", preds, preds)
-    warn_fallbacks("kernel", Counter({_OVERFLOW: fallen * len(grid)}), n * len(grid))
+    total_sq, fallen, _ = _loo(train, grid)
+    warn_fallbacks("kernel", Counter({_OVERFLOW: fallen}), n * len(grid))
     curve = [(s, math.sqrt(t / n)) for s, t in zip(grid, total_sq)]
     return min_ties_to_larger(curve)[0], curve
+
+
+def _aniso_cv(train: Dataset, xs, ys, folds: int, seed: int):
+    """Pooled squared errors over the folds, shape (len(xs), len(ys)), with
+    the overflow fallbacks and the rows on the exact path."""
+    road, home, movs = train.road_ranks, train.home_ranks, train.movs
+    total_sq = np.zeros((len(xs), len(ys)))
+    fallen = exact_rows = 0
+    for tr, held in fold_splits(len(train), folds, seed):
+        lat = _lattice(road[tr], home[tr], movs[tr])
+        first, inverse, counts = distinct_pairs(road[held], home[held])
+        r, h = road[held][first], home[held][first]
+        sums = _kernel_sums(lat, r + h, r - h, xs, ys)
+        for (xi, sx), (yi, sy) in product(enumerate(xs), enumerate(ys)):
+            means, fell, exact = _means(lat, r, h, sums[xi, yi], sx, sy, counts)
+            err = means[inverse] - movs[held]
+            total_sq[xi, yi] += float(err @ err)
+            fallen += fell
+            exact_rows += exact
+    return total_sq, fallen, exact_rows
 
 
 def select_aniso_cv(
@@ -241,32 +331,16 @@ def select_aniso_cv(
     """Pick (sigma_x, sigma_y) by k-fold cross-validation over a grid.
 
     The fold partition is fixed (a function of size, folds, seed) and shared
-    by every bandwidth pair. Each fold's training games are collapsed to
-    distinct pairs and its held-out games to distinct queries, whose
-    distances serve the whole grid. Returns ((sigma_x, sigma_y), surface)
-    where surface lists (sigma_x, sigma_y, rmse) in grid order; RMSE pools
-    squared errors over folds. Ties break toward larger sigma_x, then larger
-    sigma_y.
+    by every bandwidth pair. Each fold's training games form one lattice and
+    its held-out games are predicted once per distinct pair. Returns
+    ((sigma_x, sigma_y), surface) where surface lists (sigma_x, sigma_y,
+    rmse) in grid order; RMSE pools squared errors over folds. Ties break
+    toward larger sigma_x, then larger sigma_y.
     """
-    xs = _grid(sigma_x_grid, DEFAULT_SIGMA_X_GRID, "sigma_x")
-    ys = _grid(sigma_y_grid, DEFAULT_SIGMA_Y_GRID, "sigma_y")
+    xs = bandwidth_grid(DEFAULT_SIGMA_X_GRID if sigma_x_grid is None else sigma_x_grid, "sigma_x")
+    ys = bandwidth_grid(DEFAULT_SIGMA_Y_GRID if sigma_y_grid is None else sigma_y_grid, "sigma_y")
     n = len(train)
-    road, home, movs = train.road_ranks, train.home_ranks, train.movs
-    total_sq, fallbacks = np.zeros((len(xs), len(ys))), Counter()
-    for tr, held in fold_splits(n, folds, seed):
-        pairs, _ = _collapse(road[tr], home[tr], movs[tr])
-        first, inverse, counts = distinct_pairs(road[held], home[held])
-        qx, qy = rotate_arrays(road[held][first], home[held][first])
-        actual = movs[held]
-        dx2, dy2 = (np.square(np.subtract.outer(c0, c)) for c0, c in ((qx, pairs.x), (qy, pairs.y)))
-        qxs, q = np.empty_like(dx2), np.empty_like(dx2)
-        for xi, sx in enumerate(xs):
-            np.divide(dx2, sx * sx, out=qxs)
-            for yi, sy in enumerate(ys):
-                np.add(np.divide(dy2, sy * sy, out=q), qxs, out=q)
-                err = _weighted_means(q, pairs, fallbacks, counts)[inverse] - actual
-                total_sq[xi, yi] += float(err @ err)
-        del dx2, dy2, qxs, q  # before the next fold's blocks are allocated
-    warn_fallbacks("kernel", fallbacks, n * len(xs) * len(ys))
+    total_sq, fallen, _ = _aniso_cv(train, xs, ys, folds, seed)
+    warn_fallbacks("kernel", Counter({_OVERFLOW: fallen}), n * len(xs) * len(ys))
     surface = [(sx, sy, math.sqrt(t / n)) for (sx, sy), t in zip(product(xs, ys), total_sq.flat)]
     return min_ties_to_larger(surface)[:2], surface

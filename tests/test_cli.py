@@ -454,10 +454,20 @@ def test_report_rejects_bad_span(games_csv, tmp_path, capsys):
         (["--df", "inf"], "df per term must be in [2, "),
         (["--df", "1"], "df per term must be in [2, "),
         (["--sigma-grid", "1e-200,8"], "does not underflow"),
+        (["--sigma-x-grid", "1e-200,30"], "does not underflow"),
+        (["--sigma-y-grid", "8,nan"], "must be finite"),
+        (["--sigma", "0"], "must be finite"),
     ],
-    ids=["inf-df", "small-df", "underflowing-sigma"],
+    ids=["inf-df", "small-df", "underflowing-sigma", "underflowing-sigma-x", "nan-sigma-y",
+         "zero-sigma"],
 )
-def test_report_rejects_bad_smoothing_flags(games_csv, tmp_path, capsys, flags, message):
+def test_report_rejects_bad_smoothing_flags(
+    games_csv, tmp_path, capsys, monkeypatch, flags, message
+):
+    def tuning(*args, **kwargs):
+        raise AssertionError("tuning started before the flags were checked")
+
+    monkeypatch.setattr(cli, "select_span_cv", tuning)
     rc = cli.main(
         [
             "report", "--input", str(games_csv), "--span", "0.5",
@@ -466,8 +476,8 @@ def test_report_rejects_bad_smoothing_flags(games_csv, tmp_path, capsys, flags, 
     )
     assert rc == 2
     assert message in capsys.readouterr().err
-    if "--df" in flags:  # checked right after the split, before any tuning
-        assert not (tmp_path / "loess_cv.csv").exists()
+    # checked right after the split, before any tuning
+    assert not (tmp_path / "loess_cv.csv").exists()
 
 
 REPORT_FILES = (

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rankmargin import kernel
 from rankmargin.data import rotate_arrays
 from rankmargin.errors import DataError, DegeneratePredictionWarning, ParameterError
 from rankmargin.evaluate import fold_assignments
@@ -438,3 +439,90 @@ class TestAnisotropicSelection:
             select_aniso_cv(data, sigma_x_grid=[1e-170], sigma_y_grid=[5.0])
         with pytest.raises(ParameterError):
             select_aniso_cv(data, sigma_x_grid=[5.0], sigma_y_grid=[5.0], folds=31)
+
+
+@st.composite
+def _lattice_case(draw):
+    # integer training pairs, most of them replicated; fractional and far
+    # queries; bandwidths from 1e-3 to 200 with sigma_x / sigma_y up to 50
+    cells = draw(st.lists(st.tuples(st.integers(1, 30), st.integers(1, 30)), min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(cells) - 1), min_size=2, max_size=40))
+    road, home = (np.array(axis, dtype=float) for axis in zip(*(cells[i] for i in picks)))
+    movs = draw(st.lists(st.integers(-40, 40), min_size=len(picks), max_size=len(picks)))
+    sigma_x = draw(st.floats(1e-3, 200.0))
+    sigma_y = min(max(sigma_x / draw(st.floats(1 / 50, 50.0)), 1e-3), 200.0)
+    ranks = st.one_of(st.floats(0.5, 30.5), st.floats(-200.0, 250.0))
+    queries = st.lists(ranks, min_size=4, max_size=4)
+    return road, home, np.array(movs, dtype=float), (sigma_x, sigma_y), draw(queries), draw(queries)
+
+
+_LATTICE = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@_LATTICE
+@given(_lattice_case())
+def test_lattice_matches_direct_sum(case):
+    road, home, movs, sigmas, qr, qh = case
+    spec = KernelSmootherSpec(road, home, movs, *sigmas)
+    want = _weighted_reference(road, home, movs, np.ones(len(movs)), sigmas, qr, qh)
+    np.testing.assert_allclose(predict_kernel_arrays(spec, qr, qh), want, rtol=0, atol=1e-12)
+
+
+@_LATTICE
+@given(_lattice_case(), st.data())
+def test_aniso_cv_matches_per_fold_direct_sums(case, data):
+    road, home, movs, (sx, sy), _, _ = case
+    n = len(movs)
+    folds, seed = data.draw(st.integers(2, min(n, 5))), data.draw(st.integers(0, 3))
+    _, surface = select_aniso_cv(make_dataset(road, home, movs), [sx, sy], [sy, sx], folds, seed)
+    for sigma_x, sigma_y, got in surface:
+        total = 0.0
+        for held in fold_assignments(n, folds, seed):
+            tr = np.setdiff1d(np.arange(n), held)
+            preds = _weighted_reference(
+                road[tr], home[tr], movs[tr], np.ones(len(tr)), (sigma_x, sigma_y),
+                road[held], home[held],
+            )
+            total += float(np.sum((preds - movs[held]) ** 2))
+        assert got == pytest.approx(math.sqrt(total / n), rel=1e-12, abs=1e-12)
+
+
+def test_exact_path_when_the_axis_products_underflow():
+    # the nearest training sum (12) is the pair (8, 4)'s and the nearest
+    # difference (0) the pair (5, 5)'s, so every product of axis factors is
+    # tiny, while the nearest game, at (5, 5), weighs 1
+    road, home, movs = [5, 5, 5, 8], [5, 5, 5, 4], [2.0, 5.0, 11.0, -20.0]
+    for sigma in (0.0355, 0.02):  # the products are subnormal, then 0
+        spec = KernelSmootherSpec(road, home, movs, sigma, sigma)
+        got, fallen, exact = kernel._predict(spec, [6.0], [5.9])
+        assert (fallen, exact) == (0, 1)
+        assert got[0] == pytest.approx(6.0, rel=1e-12)
+    want = oracles.kernel_predict_reference(road, home, movs, 6.0, 5.9, sigma=0.0355)
+    got = predict_kernel(KernelSmootherSpec(road, home, movs, 0.0355, 0.0355), 6.0, 5.9)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.2])
+def test_exact_path_for_lone_games_in_leave_one_out(sigma):
+    # at sigma << 1 a lone game's own weight of 1 swamps the others, so
+    # (F_S - y) / (F_N - 1) would cancel; those rows take the direct sum
+    road, home = [3, 4, 3, 3, 5, 3, 6, 3, 6], [4, 4, 4, 5, 6, 4, 6, 5, 6]
+    movs = [-10.0, 7.0, 12.0, 3.0, -4.0, 0.0, 9.0, -6.0, 15.0]
+    data = make_dataset(road, home, movs)
+    _, fallen, exact = kernel._loo(data, [sigma])
+    assert (fallen, exact) == (0, 2)  # (4, 4) and (5, 6) are alone
+    _, curve = select_sigma_loo(data, [sigma])
+    want = oracles.kernel_loo_rmse_reference(road, home, movs, sigma)
+    assert curve[0][1] == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("rank_max", [60, 351])
+def test_report_season_stays_on_the_lattice(rank_max):
+    # the criterion-7 grids on a 6,024-game season: no row takes the direct sum
+    season = generate_synthetic(6024, seed=3, rank_max=rank_max)
+    train = season.subset(np.arange(4518))
+    assert kernel._loo(train, [12.0, 19.0, 30.0])[2] == 0
+    assert kernel._aniso_cv(train, [30.0, 60.0], [8.0, 16.0], folds=5, seed=0)[2] == 0
+    for sigmas in ((12.0, 12.0), (30.0, 30.0), (30.0, 8.0), (60.0, 16.0)):
+        spec = KernelSmootherSpec(train.road_ranks, train.home_ranks, train.movs, *sigmas)
+        assert kernel._predict(spec, season.road_ranks, season.home_ranks)[2] == 0
