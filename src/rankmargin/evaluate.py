@@ -248,8 +248,9 @@ def benchmark(pairs, models) -> BenchmarkReport:
 
     `pairs` is a sequence of (train, validation) Dataset pairs; `models` a
     sequence of ModelSpec. Each model is fit once per pair and scored on
-    both halves. Pure error is computed per dataset from its own replicate
-    groups (None when a dataset has no replicates).
+    both halves, which it predicts in one call. Pure error is computed per
+    dataset from its own replicate groups (None when a dataset has no
+    replicates).
     """
     pairs = list(pairs)
     models = list(models)
@@ -274,10 +275,13 @@ def benchmark(pairs, models) -> BenchmarkReport:
                 raise RankMarginError(
                     f"model {model.name!r} failed on training {i}: {exc}"
                 ) from exc
-            preds_tr = predictor(train.road_ranks, train.home_ranks)
-            preds_va = predictor(valid.road_ranks, valid.home_ranks)
-            train_vals.append(rmse(preds_tr, train.movs))
-            valid_vals.append(rmse(preds_va, valid.movs))
+            # one call for both halves: predictions do not depend on their batch
+            preds = predictor(
+                np.concatenate([train.road_ranks, valid.road_ranks]),
+                np.concatenate([train.home_ranks, valid.home_ranks]),
+            )
+            train_vals.append(rmse(preds[: len(train)], train.movs))
+            valid_vals.append(rmse(preds[len(train):], valid.movs))
         training_rows.append(ReportRow(label=f"Training {i}", values=tuple(train_vals)))
         validation_rows.append(ReportRow(label=f"Validation {i}", values=tuple(valid_vals)))
     training_mean = ReportRow(

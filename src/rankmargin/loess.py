@@ -13,13 +13,15 @@ divided by its training standard deviation before distances are taken
 
 Each distinct query pair is predicted once and its result copied to every
 query at that pair (ranks are integers, so queries repeat). The distinct
-queries are predicted in blocks. For each block the query-by-training
-distance matrix is formed (4 MB per temporary), `np.partition` gives d_max
-and the third-nearest distance, and the weighted moments of
-[1, r, h, r^2, rh, h^2, y, ry, hy], centred on the training means, are
-taken one query row at a time. The 3x3 normal equations of each local plane
-are then recentred on its query analytically and solved in one batched call
-after diagonal equilibration.
+queries are predicted in blocks, one thread per CPU in the process's affinity
+mask (inline, starting no thread, for one block or one CPU), with scratch
+allocated by the calling thread: 4 MB per temporary over all threads. For
+each block the query-by-training distance matrix is formed, `np.partition`
+gives d_max and the third-nearest distance, and the weighted moments of
+[1, r, h, r^2, rh, h^2, y, ry, hy], centred on the training means, are taken
+one query row at a time. The 3x3 normal equations of each local plane are
+then recentred on its query analytically and solved in one batched call after
+diagonal equilibration.
 
 A row goes to the exact path instead, an SVD of the weighted local design,
 when d_max is 0, when fewer than 3 neighbors lie inside d_max, or when the
@@ -33,14 +35,17 @@ fell back and why, counting every query at a fallen-back pair.
 Every step is computed per query row (elementwise operations, exact order
 statistics, one matrix-vector product and one 3x3 solve per row), so a
 prediction is bit-for-bit the same whatever other queries share its call or
-its block. `select_span_cv` forms each fold's distances and partition once
-and reuses them for every span of the grid.
+its block, and however many threads run the blocks. `select_span_cv` forms
+each fold's distances and partition once and reuses them for every span of
+the grid.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,12 +151,20 @@ def _predict(fit: LoessFit, road_ranks, home_ranks, sizes) -> tuple[np.ndarray, 
     # the third-nearest distance is below d_max iff at least 3 points are inside
     kth = sorted({2} | {q - 1 for q in sizes}, reverse=True)
     out = np.empty((len(sizes), len(r)))
-    fallbacks = Counter()
-    rows = max(1, min(len(r), BLOCK_ELEMENTS // n))
-    d_buf, w_buf, t_buf = (np.empty((rows, n)) for _ in range(3))
-    for start in range(0, len(r), rows):
+    cpus = _cpus()
+    rows = max(1, min(len(r), BLOCK_ELEMENTS // (n * cpus)))
+    starts = range(0, len(r), rows)
+    workers = min(cpus, len(starts))
+    # one set of scratch buffers per worker, allocated by this thread: buffers
+    # allocated in worker threads stay resident in glibc's per-thread arenas
+    scratch = [[np.empty((rows, n)) for _ in range(3)] for _ in range(workers)]
+
+    def block(start):
+        """Fills out[:, start:start + rows]; returns fallbacks, a Counter per size."""
+        bufs = scratch.pop()  # a running block holds one set; no other block has it
+        counts = [Counter() for _ in sizes]
         rb, hb = r[start:start + rows], h[start:start + rows]
-        d, w, t = d_buf[: len(rb)], w_buf[: len(rb)], t_buf[: len(rb)]
+        d, w, t = (buf[: len(rb)] for buf in bufs)
         # elementwise as the exact path, d = sqrt(dr*dr + dh*dh), bit for bit
         np.subtract(fit.road_ranks, rb[:, None], out=d)
         d /= sr
@@ -178,9 +191,25 @@ def _predict(fit: LoessFit, road_ranks, home_ranks, sizes) -> tuple[np.ndarray, 
             for j in np.flatnonzero(exact):
                 preds[j], why = _predict_exact(fit, q, rb[j], hb[j])
                 if why:
-                    fallbacks[why] += int(repeats[start + j])
+                    counts[i][why] += int(repeats[start + j])
             out[i, start:start + len(rb)] = preds
-    return out[:, inverse], fallbacks
+        scratch.append(bufs)
+        return counts
+
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            counts = list(pool.map(block, starts))
+    else:
+        counts = list(map(block, starts))
+    # merged by size, then query, so the warning text does not depend on blocks
+    return out[:, inverse], sum((c[i] for i in range(len(sizes)) for c in counts), Counter())
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on (its affinity mask)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _local_planes(feats, a, b, d, d_max, exact, w, t):

@@ -258,6 +258,43 @@ class TestBenchmark:
         with pytest.raises(ParameterError):
             benchmark([pair], [])
 
+    def test_one_predictor_call_per_partition(self):
+        pairs = [
+            split(generate_synthetic(400, seed=seed, rank_max=30), SplitSpec(train_count=300))
+            for seed in (73, 74)
+        ]
+        calls, predictors = [], []
+
+        def recording(model):
+            def fit(train):
+                predict = model.fit(train)
+                predictors.append(predict)
+
+                def recorded(r, h):
+                    calls.append((model.name, np.array(r), np.array(h)))
+                    return predict(r, h)
+
+                return recorded
+
+            return ModelSpec(name=model.name, fit=fit)
+
+        models = table_models(span=0.4, sigma=3.0, sigma_x=8.0, sigma_y=4.0)
+        report = benchmark(pairs, [recording(m) for m in models])
+        assert [name for name, _, _ in calls] == [m.name for m in models] * len(pairs)
+        for i, (train, valid) in enumerate(pairs):
+            road = np.concatenate([train.road_ranks, valid.road_ranks])
+            home = np.concatenate([train.home_ranks, valid.home_ranks])
+            halves = ((report.training_rows[i], train), (report.validation_rows[i], valid))
+            for c in range(len(models)):
+                _, r, h = calls[i * len(models) + c]
+                np.testing.assert_array_equal(r, road)
+                np.testing.assert_array_equal(h, home)
+                # the RMSEs of one call equal those of a separate call per half
+                predict = predictors[i * len(models) + c]
+                for row, half in halves:
+                    alone = predict(half.road_ranks, half.home_ranks)
+                    assert row.values[c + 1] == rmse(alone, half.movs)
+
     def test_rank_data_scores_near_noise_level(self):
         data = generate_synthetic(3000, seed=60)
         train, valid = split(data, SplitSpec(train_count=2250))

@@ -261,6 +261,92 @@ class TestBatchedPrediction:
             assert got == math.sqrt(total / n)
 
 
+def _messages(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [str(w.message) for w in caught]
+
+
+class TestThreadedBlocks:
+    """Blocks run on one thread per CPU; the worker count must not change a
+    bit of any result or a character of any warning."""
+
+    def _runs(self, monkeypatch, call):
+        pools = []
+
+        class Pool(loess.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(loess, "ThreadPoolExecutor", Pool)
+        runs = []
+        for k in (1, 2, 3):
+            monkeypatch.setattr(loess, "_cpus", lambda k=k: k)
+            pools.clear()
+            runs.append(_messages(call))
+            # one CPU runs inline; more CPUs start pools of up to that size
+            assert max(pools, default=1) == k
+        return runs
+
+    def test_worker_count_does_not_change_bits(self, monkeypatch):
+        data = generate_synthetic(300, seed=24, rank_max=40)
+        fit = fit_loess(data, 0.3)
+        rng = np.random.default_rng(24)
+        road = np.concatenate([rng.integers(1, 41, 60), rng.uniform(1, 40, 60)])
+        home = np.concatenate([rng.integers(1, 41, 60), rng.uniform(1, 40, 60)])
+        sizes = [4, 40, 90, 300]
+        monkeypatch.setattr(loess, "BLOCK_ELEMENTS", 7 * len(data))
+        runs = self._runs(
+            monkeypatch,
+            lambda: (
+                predict_loess_arrays(fit, road, home),
+                loess._predict(fit, road, home, sizes)[0],
+                select_span_cv(data, span_grid=[0.1, 0.3, 0.8], folds=4, seed=1)[1],
+            ),
+        )
+        (arrays, planes, curve), _ = runs[0]
+        for (a, p, c), _ in runs[1:]:
+            np.testing.assert_array_equal(a, arrays)
+            np.testing.assert_array_equal(p, planes)
+            assert c == curve
+
+    def test_worker_count_does_not_change_warnings(self, monkeypatch):
+        # blocks of one or two queries, so different blocks fall back for
+        # different reasons
+        fit, (road, home) = _mixed_degenerate()
+        monkeypatch.setattr(loess, "BLOCK_ELEMENTS", 5 * len(fit.movs))
+        data = make_dataset(fit.road_ranks, fit.home_ranks, fit.movs)
+        runs = self._runs(
+            monkeypatch,
+            lambda: (
+                predict_loess_arrays(fit, road, home),
+                list(loess._predict(fit, road, home, [4, 5, 12])[1].items()),
+                select_span_cv(data, span_grid=[0.2, 0.4, 1.0], folds=4, seed=0),
+            ),
+        )
+        (preds, reasons, cv), messages = runs[0]
+        assert len(messages) == 2 and len(reasons) == 4
+        for (p, why, c), m in runs[1:]:
+            np.testing.assert_array_equal(p, preds)
+            assert (why, c, m) == (reasons, cv, messages)
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        def no_threads(*args):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(loess, "ThreadPoolExecutor", no_threads)
+        monkeypatch.setattr(loess, "_cpus", lambda: 4)
+        data = generate_synthetic(200, seed=25, rank_max=30)
+        fit = fit_loess(data, 0.4)
+        road, home = np.arange(1.0, 21.0), np.arange(20.0, 0.0, -1.0)
+        assert predict_loess(fit, road[2], home[2]) == predict_loess_arrays(fit, road, home)[2]
+        monkeypatch.setattr(loess, "BLOCK_ELEMENTS", 7 * len(data))
+        with pytest.raises(AssertionError, match="thread pool"):
+            predict_loess_arrays(fit, road, home)
+
+
 @st.composite
 def _training(draw):
     n = draw(st.integers(8, 40))
