@@ -9,22 +9,26 @@ an isometry, so the isotropic smoother is the case sigma_x = sigma_y.
 Kernel sums are evaluated on the rank lattice. With s = r + h = x sqrt 2 and
 d = r - h = y sqrt 2, the weight factors exactly into one term per axis,
 exp(-(s - s')^2 / (4 sigma_x^2)) * exp(-(d - d')^2 / (4 sigma_y^2)). Ranks
-are integers, so the training games bin exactly onto a sparse lattice A of
-margin sums and game counts, one row per distinct training d and one column
-per distinct training s (binned kernel estimation, exact here). Queries with
-distinct sums u and differences v need one exp table per axis, Tx (u by s)
-and Ty (v by d), one sparse product C = A @ Tx^T and one row-wise
-contraction of C with Ty, giving each query's margin sum F_S and game count
-F_N; the prediction is F_S / F_N. In the grid searches one C per sigma_x
-serves every sigma_y. Each table row is shifted by its query's nearest
-training value on that axis, so that factor is exactly 1.
+are integers, so the training games bin exactly onto a sparse lattice A
+(binned kernel estimation, exact here): a CSR matrix with one column per
+distinct training s and one row per distinct training d, margin sums stacked
+over game counts. Queries with distinct sums u and differences v need one
+exp table per axis, Tx (u by s) and Ty (v by d), each row shifted by its
+query's nearest training value so that factor is exactly 1, and one sparse
+product C = A @ Tx^T per sigma_x. Sorted by (u, v), each run of queries that
+share a u contracts that u's row of C with the Ty rows of its v's, for every
+(sigma_x, sigma_y) of a grid at once, giving each query's margin sum F_S and
+game count F_N; the prediction is F_S / F_N. Every sum runs in an order
+fixed by the lattice and the query (a row's cells in turn, one einsum dot
+per query), so a query's result does not depend on the other queries of its
+call, nor a bandwidth pair's on the rest of the grid.
 
 Leave-one-out needs no second pass: a training game's own pair is at
 distance 0 on both axes, so its weight is exactly 1 * 1 and the prediction
 without game i is (F_S - y_i) / (F_N - 1).
 
 Two kinds of row take the exact path, a direct sum over the training games
-in rotated coordinates with weights relative to the nearest game:
+in rotated coordinates with weights relative to the nearest game, row by row:
 - a prediction whose nearest game may be far: half its squared scaled
   distance is at least E - ln F_N (E that of the per-axis nearest values),
   and this bound exceeds _NEAR. That covers an F_N that underflows (the
@@ -47,6 +51,7 @@ from itertools import product
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .data import Dataset, distinct_pairs, fold_splits, rotate_arrays, training_arrays
 from .errors import DataError, ParameterError, warn_fallbacks
@@ -56,8 +61,8 @@ DEFAULT_SIGMA_GRID = tuple(np.geomspace(1.0, 200.0, 40))
 DEFAULT_SIGMA_X_GRID = tuple(float(v) for v in range(10, 101, 10))
 DEFAULT_SIGMA_Y_GRID = tuple(float(v) for v in range(2, 41, 2))
 
-_BLOCK = 1 << 19  # elements in one temporary block
-_CHUNK = 1 << 20  # queries per chunk times the longer lattice axis
+_BLOCK = 1 << 19  # elements in one temporary block of the exact path
+_CHUNK = 1 << 22  # elements in one chunk's tables: C, Ty, Tx and the product
 _NEAR = 4.0  # rows whose nearest game may be farther take the direct sum
 _OWN_SHARE = 1e-2  # a leave-one-out row cancels in F_N - 1 below this share
 _OVERFLOW = "distances overflowed (margin at the smallest distance)"
@@ -65,15 +70,11 @@ _OVERFLOW = "distances overflowed (margin at the smallest distance)"
 
 class _Lattice(NamedTuple):
     """Training games binned by rank sum s (columns) and difference d (rows),
-    occupied cells in (d, s) order, plus the games for the exact path."""
+    margin sums over game counts, plus the games for the exact path."""
 
     s: np.ndarray  # distinct training sums, ascending
     d: np.ndarray  # distinct training differences, ascending
-    cell_s: np.ndarray  # column of each cell
-    cell_d: np.ndarray  # row of each cell
-    row_starts: np.ndarray  # first cell of each row
-    weights: np.ndarray  # (2, cells): margin sums and game counts
-    game_cell: np.ndarray
+    a: csr_array  # (2 len(d), len(s))
     road: np.ndarray
     home: np.ndarray
     movs: np.ndarray
@@ -83,10 +84,11 @@ def _lattice(road, home, movs) -> _Lattice:
     s, s_idx = np.unique(road + home, return_inverse=True)
     d, d_idx = np.unique(road - home, return_inverse=True)
     cells, game_cell = np.unique(d_idx * len(s) + s_idx, return_inverse=True)
-    cell_d, cell_s = np.divmod(cells, len(s))
-    weights = np.stack([np.bincount(game_cell, w, len(cells)) for w in (movs, None)])
-    row_starts = np.searchsorted(cell_d, np.arange(len(d)))
-    return _Lattice(s, d, cell_s, cell_d, row_starts, weights, game_cell, road, home, movs)
+    weights = np.concatenate([np.bincount(game_cell, w, len(cells)) for w in (movs, None)])
+    starts = np.searchsorted(cells, np.arange(len(d) + 1) * len(s))  # each d's first cell
+    indptr = np.concatenate([starts, starts[1:] + len(cells)])
+    a = csr_array((weights, np.tile(cells % len(s), 2), indptr), shape=(2 * len(d), len(s)))
+    return _Lattice(s, d, a, road, home, movs)
 
 
 def _bandwidth_ok(s: float) -> bool:
@@ -136,46 +138,43 @@ def _nearest(t, q):
     return np.where(q - t[lo] <= t[hi] - q, t[lo], t[hi])
 
 
-def _factors(q, t, sigma):
-    """One axis of the weights, query values `q` (rows) by training values
-    `t` (columns), each row relative to its nearest t."""
-    e = np.square(np.subtract.outer(q, t))
-    e -= np.square(q - _nearest(t, q))[:, None]
-    e /= -4.0 * sigma * sigma
-    return np.exp(e, out=e)
+def _factors(q, t, sigma, out):
+    """Fill `out` with one axis of the weights, query values `q` (rows) by
+    training values `t` (columns), each row relative to its nearest t."""
+    np.subtract.outer(q, t, out=out)
+    np.square(out, out=out)
+    out -= np.square(q - _nearest(t, q))[:, None]
+    out /= -4.0 * sigma * sigma
+    np.exp(out, out=out)
 
 
 def _kernel_sums(lat: _Lattice, u, v, xs, ys):
     """(F_S, F_N) at the distinct query points (u, v) for every bandwidth pair
-    of the grid xs by ys: shape (len(xs), len(ys), 2, len(u)). Queries go in
-    chunks sorted by u, and temporaries in blocks, to bound memory."""
-    out = np.empty((len(xs), len(ys), 2, len(u)))
+    of the grid xs by ys: shape (len(xs), len(ys), 2, len(u)). Chunks of the
+    sorted queries bound the tables' memory."""
+    nx, ny, nd = len(xs), len(ys), len(lat.d)
     order = np.lexsort((v, u))
-    chunk = max(1, _CHUNK // max(len(lat.s), len(lat.d)))
-    u_step, q_step = max(1, _BLOCK // len(lat.cell_s)), max(1, _BLOCK // len(lat.d))
+    u, v = u[order], v[order]
+    sums = np.empty((2 * nx, ny, len(u)))
+    chunk = max(1, _CHUNK // (max(len(lat.s), nd) * (2 * nx + ny + 3)))
+    if max(len(np.unique(u)), len(np.unique(v))) <= chunk:  # one chunk holds every table
+        chunk = max(chunk, len(u))
     with np.errstate(over="ignore", invalid="ignore"):  # absurdly distant queries
         for start in range(0, len(u), chunk):
-            idx = order[start:start + chunk]
-            us, qu = np.unique(u[idx], return_inverse=True)
-            vs, qv = np.unique(v[idx], return_inverse=True)
-            for xi, sx in enumerate(xs):
-                tx = _factors(us, lat.s, sx)
-                c = np.empty((2, len(us), len(lat.d)))
-                for b in range(0, len(us), u_step):
-                    c[:, b:b + u_step] = _lattice_product(lat, tx[b:b + u_step])
-                for yi, sy in enumerate(ys):
-                    ty = _factors(vs, lat.d, sy)
-                    for b in range(0, len(idx), q_step):
-                        q = slice(b, b + q_step)
-                        out[xi, yi][:, idx[q]] = np.einsum("kql,ql->kq", c[:, qu[q]], ty[qv[q]])
-    return out
-
-
-def _lattice_product(lat: _Lattice, tx):
-    """C^T = Tx @ A^T for the margin sums and the game counts: each lattice
-    row's cells, weighted, summed."""
-    cells = tx.take(lat.cell_s, axis=1)
-    return np.stack([np.add.reduceat(cells * w, lat.row_starts, axis=1) for w in lat.weights])
+            q = slice(start, start + chunk)
+            us, starts = np.unique(u[q], return_index=True)  # the runs of one u
+            vs, qv = np.unique(v[q], return_inverse=True)
+            tx, c = np.empty((len(lat.s), len(us))).T, np.empty((len(us), nx, 2, nd))
+            for xi, sx in enumerate(xs):  # tx.T is C-ordered, as the product reads it
+                _factors(us, lat.s, sx, tx)
+                c[:, xi] = (lat.a @ tx.T).reshape(2, nd, -1).transpose(2, 0, 1)
+            c, ty = c.reshape(len(us), 2 * nx, nd), np.empty((ny, len(vs), nd))
+            for yi, sy in enumerate(ys):
+                _factors(vs, lat.d, sy, ty[yi])
+            ends = [*starts[1:].tolist(), len(qv)]
+            for k, (b, e) in enumerate(zip(starts.tolist(), ends)):
+                np.einsum("kd,yld->kyl", c[k], ty[:, qv[b:e]], out=sums[:, :, start + b:start + e])
+    return sums.reshape(nx, 2, ny, -1).transpose(0, 2, 1, 3)[..., np.argsort(order)]
 
 
 def _direct_means(r, h, lat: _Lattice, sigma_x, sigma_y, own=None):
@@ -202,7 +201,7 @@ def _direct_means(r, h, lat: _Lattice, sigma_x, sigma_y, own=None):
             q -= q_min[:, None]
             q *= -0.5
             np.exp(q, out=q)
-            block = (q @ lat.movs) / q.sum(axis=1)
+            block = np.einsum("qg,g->q", q, lat.movs) / q.sum(axis=1)  # one dot per row, any block
             block[bad] = lat.movs[nearest]
             means[rows], fell[rows] = block, bad
     return means, fell
@@ -267,12 +266,13 @@ def _loo(train: Dataset, grid):
     """Leave-one-out squared errors summed per bandwidth of `grid`, with the
     overflow fallbacks and the rows on the exact path."""
     lat = _lattice(train.road_ranks, train.home_ranks, train.movs)
-    u, v = lat.s[lat.cell_s], lat.d[lat.cell_d]
+    first, pair, _ = distinct_pairs(lat.road, lat.home)
+    u, v = lat.road[first] + lat.home[first], lat.road[first] - lat.home[first]
     games = np.arange(len(lat.movs))
     preds = np.empty((len(grid), len(games)))
     fallen = exact_rows = 0
     for gi, sigma in enumerate(grid):
-        f_s, f_n = _kernel_sums(lat, u, v, [sigma], [sigma])[0, 0][:, lat.game_cell]
+        f_s, f_n = _kernel_sums(lat, u, v, [sigma], [sigma])[0, 0][:, pair]
         rest = f_n - 1.0  # the own pair weighs exactly 1 * 1
         with np.errstate(divide="ignore", invalid="ignore"):
             preds[gi] = (f_s - lat.movs) / rest

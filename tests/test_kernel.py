@@ -3,6 +3,7 @@ bandwidth selection."""
 
 import math
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -526,3 +527,64 @@ def test_report_season_stays_on_the_lattice(rank_max):
     for sigmas in ((12.0, 12.0), (30.0, 30.0), (30.0, 8.0), (60.0, 16.0)):
         spec = KernelSmootherSpec(train.road_ranks, train.home_ranks, train.movs, *sigmas)
         assert kernel._predict(spec, season.road_ranks, season.home_ranks)[2] == 0
+
+
+def _composition_queries(rank_max, rng):
+    # integer pairs, many sharing a rank sum (runs of one u), fractional
+    # pairs, and pairs off the edge of the training ranks
+    shared = [(a, s - a) for s in (rank_max // 2, rank_max + 1) for a in range(1, s, 2)]
+    integer = rng.integers(1, rank_max + 1, (60, 2))
+    fractional = rng.uniform(0.5, rank_max + 0.5, (30, 2))
+    far = [(rank_max + 6.0, 1.0), (1.0, rank_max + 4.5), (rank_max + 3.0, rank_max + 5.0)]
+    r, h = np.concatenate([shared, integer, fractional, far]).T
+    return r, h
+
+
+def _assert_composition_free(spec, r, h):
+    full = kernel._predict(spec, r, h)[0]
+    alone = np.array([kernel._predict(spec, [a], [b])[0][0] for a, b in zip(r, h)])
+    k = len(r) // 3
+    halves = np.concatenate([kernel._predict(spec, r[:k], h[:k])[0], kernel._predict(spec, r[k:], h[k:])[0]])
+    reverse = kernel._predict(spec, r[::-1], h[::-1])[0][::-1]
+    for got in (alone, halves, reverse):
+        assert np.array_equal(got, full)
+
+
+@pytest.mark.parametrize("small_chunks", [False, True])
+@pytest.mark.parametrize("sigmas", [(12.0, 12.0), (30.0, 8.0)])
+@pytest.mark.parametrize("rank_max", [60, 351])
+def test_prediction_does_not_depend_on_the_other_queries(rank_max, sigmas, small_chunks, monkeypatch):
+    # each query's prediction is the same bits alone, in the batch, in two
+    # halves and in reversed order, also when the runs of one u span chunks
+    if small_chunks:
+        monkeypatch.setattr(kernel, "_CHUNK", 20_000)
+    train = generate_synthetic(1500, seed=17, rank_max=rank_max)
+    spec = KernelSmootherSpec(train.road_ranks, train.home_ranks, train.movs, *sigmas)
+    r, h = _composition_queries(rank_max, np.random.default_rng(rank_max))
+    assert kernel._predict(spec, r, h)[1:] == (0, 0)  # every row on the lattice
+    _assert_composition_free(spec, r, h)
+
+
+@pytest.mark.parametrize("sigmas", [(12.0, 12.0), (30.0, 8.0)])
+def test_exact_path_does_not_depend_on_the_other_queries(sigmas):
+    train = generate_synthetic(1500, seed=17, rank_max=60)
+    spec = KernelSmootherSpec(train.road_ranks, train.home_ranks, train.movs, *sigmas)
+    r, h = _composition_queries(60, np.random.default_rng(3))
+    far = np.array([[200.0, 3.0], [-120.0, 0.5], [480.0, 481.0], [90.0, -75.0], [61.0, 300.0]])
+    r, h = np.concatenate([r, far[:, 0]]), np.concatenate([h, far[:, 1]])
+    assert kernel._predict(spec, r, h)[1:] == (0, len(far))
+    _assert_composition_free(spec, r, h)
+
+
+def test_grid_sums_equal_single_pair_sums():
+    # an asymmetric grid: a swapped reshape or transpose of the grid axes fails
+    train = generate_synthetic(800, seed=23, rank_max=60)
+    lat = kernel._lattice(train.road_ranks, train.home_ranks, train.movs)
+    r, h = _composition_queries(60, np.random.default_rng(5))
+    first, _, _ = kernel.distinct_pairs(r, h)
+    u, v = r[first] + h[first], r[first] - h[first]
+    xs, ys = [10.0, 25.0, 60.0], [4.0, 15.0]
+    sums = kernel._kernel_sums(lat, u, v, xs, ys)
+    assert sums.shape == (3, 2, 2, len(u))
+    for (i, sx), (j, sy) in product(enumerate(xs), enumerate(ys)):
+        assert np.array_equal(sums[i, j], kernel._kernel_sums(lat, u, v, [sx], [sy])[0, 0])
