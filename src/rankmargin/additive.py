@@ -135,10 +135,8 @@ def check_df_per_term(train: Dataset, df_per_term: float) -> None:
 
 
 def predict_additive(fit: AdditiveFit, road_rank: float, home_rank: float) -> float:
-    """mu + f_road(road) + f_home(home); splines extrapolate linearly."""
-    return float(
-        fit.mu + evaluate_smooth(fit.f_road, road_rank) + evaluate_smooth(fit.f_home, home_rank)
-    )
+    """mu + f_road(road) + f_home(home), a batch of one; splines extrapolate linearly."""
+    return float(predict_additive_arrays(fit, [road_rank], [home_rank])[0])
 
 
 def predict_additive_arrays(fit: AdditiveFit, road_ranks, home_ranks) -> np.ndarray:

@@ -26,22 +26,15 @@ from pathlib import Path
 import numpy as np
 
 from . import models
-from .additive import AdditiveFit, check_df_per_term, component_band, fit_additive, predict_additive
-from .data import Dataset, SplitSpec, parse_games, split, training_arrays, write_games
+# perfbench/spans.py wraps predict_additive, predict_kernel, predict_loess and
+# predict_quadratic by these names; predict itself calls through models.KINDS
+from .additive import check_df_per_term, component_band, fit_additive, predict_additive
+from .data import Dataset, SplitSpec, distinct_pairs, parse_games, split, write_games
 from .errors import ParameterError, RankMarginError
 from .evaluate import benchmark, lack_of_fit, pure_error
-from .kernel import (
-    KernelSmootherSpec,
-    anisotropic_smoother,
-    bandwidth_grid,
-    isotropic_smoother,
-    predict_kernel,
-    select_aniso_cv,
-    select_sigma_loo,
-)
-from .loess import LoessFit, fit_loess, predict_loess, select_span_cv
-from .numerics import SmoothFunction
-from .quadratic import QuadraticFit, fit_quadratic, predict_quadratic, studentized_residuals
+from .kernel import bandwidth_grid, predict_kernel, select_aniso_cv, select_sigma_loo
+from .loess import predict_loess, select_span_cv
+from .quadratic import fit_quadratic, predict_quadratic, predict_quadratic_arrays, studentized_residuals
 from .synth import DEFAULT_COEFFICIENTS, generate_synthetic
 
 SCHEMA_VERSION = 1
@@ -79,92 +72,10 @@ def _float_list(text: str) -> list[float]:
 
 
 # --------------------------------------------------------------------------
-# model file serialization
+# model files
 
 
-def _smooth_to_dict(sf: SmoothFunction) -> dict:
-    return {
-        "knots": sf.knots.tolist(),
-        "values": sf.values.tolist(),
-        "second_derivatives": sf.second_derivatives.tolist(),
-        "lam": "inf" if math.isinf(sf.lam) else sf.lam,
-        "effective_df": sf.effective_df,
-        "knot_weights": sf.knot_weights.tolist(),
-    }
-
-
-def _smooth_from_dict(d: dict) -> SmoothFunction:
-    arrays = {
-        key: np.array(d[key], dtype=float)
-        for key in ("knots", "values", "second_derivatives", "knot_weights")
-    }
-    knots = arrays["knots"]
-    if knots.ndim != 1 or len(knots) < 2 or any(a.shape != knots.shape for a in arrays.values()):
-        raise ParameterError(
-            "knots, values, second_derivatives and knot_weights must be lists of one length >= 2"
-        )
-    lam = math.inf if d["lam"] == "inf" else float(d["lam"])
-    effective_df = float(d["effective_df"])
-    finite = all(np.isfinite(a).all() for a in arrays.values()) and math.isfinite(effective_df)
-    if not (finite and lam >= 0.0 and (np.diff(knots) > 0.0).all()):
-        raise ParameterError(
-            "a smooth term needs finite values, increasing knots and lam >= 0 (or \"inf\")"
-        )
-    return SmoothFunction(lam=lam, effective_df=effective_df, **arrays)
-
-
-def _model_payload(kind: str, fitted) -> dict:
-    if kind == "quadratic":
-        return fitted.to_dict()
-    if kind == "gam":
-        return {
-            "mu": fitted.mu,
-            "f_road": _smooth_to_dict(fitted.f_road),
-            "f_home": _smooth_to_dict(fitted.f_home),
-            "sigma_hat": fitted.sigma_hat,
-            "iterations_used": fitted.iterations_used,
-            "converged": fitted.converged,
-            "n_train": fitted.n_train,
-        }
-    if kind == "loess":
-        return {
-            "span": fitted.span,
-            "predictor_scales": list(fitted.predictor_scales),
-            "road_ranks": fitted.road_ranks.tolist(),
-            "home_ranks": fitted.home_ranks.tolist(),
-            "movs": fitted.movs.tolist(),
-        }
-    if kind in ("kernel-iso", "kernel-aniso"):
-        payload = {
-            "road_ranks": fitted.road_ranks.tolist(),
-            "home_ranks": fitted.home_ranks.tolist(),
-            "movs": fitted.movs.tolist(),
-        }
-        if kind == "kernel-iso":
-            payload["sigma"] = fitted.sigma_x
-        else:
-            payload["sigma_x"] = fitted.sigma_x
-            payload["sigma_y"] = fitted.sigma_y
-        return payload
-    raise ParameterError(f"unknown model kind {kind!r}")
-
-
-def _loess_from_payload(payload: dict) -> LoessFit:
-    road, home, movs = training_arrays(
-        payload["road_ranks"], payload["home_ranks"], payload["movs"]
-    )
-    span = float(payload["span"])
-    if not 0.0 < span <= 1.0:
-        raise ParameterError(f"span must be in (0, 1], got {span}")
-    if math.ceil(span * len(movs)) < 3:
-        raise ParameterError(f"span {span} keeps fewer than 3 of {len(movs)} points")
-    scales = tuple(float(s) for s in payload["predictor_scales"])
-    if len(scales) != 2 or not all(math.isfinite(s) and s > 0.0 for s in scales):
-        raise ParameterError(f"predictor_scales must be two finite numbers > 0, got {scales}")
-    return LoessFit(road, home, movs, span=span, predictor_scales=scales)
-
-
-def _load_model_file(path: str):
+def _load_model_file(path: str) -> tuple[models.Kind, object]:
     try:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -181,37 +92,17 @@ def _load_model_file(path: str):
             f"model file {path} has schema_version {version!r}, expected {SCHEMA_VERSION}"
         )
     kind = doc.get("model")
-    payload = doc.get("payload", {})
+    row = models.KINDS.get(kind) if isinstance(kind, str) else None  # lists are unhashable
+    if row is None:
+        raise ParameterError(f"model file {path} has unknown model kind {kind!r}")
     try:
-        if kind == "quadratic":
-            return kind, QuadraticFit.from_dict(payload)
-        if kind == "gam":
-            mu, sigma_hat = float(payload["mu"]), float(payload["sigma_hat"])
-            if not (math.isfinite(mu) and math.isfinite(sigma_hat)):
-                raise ParameterError(f"mu and sigma_hat must be finite, got {mu} and {sigma_hat}")
-            return kind, AdditiveFit(
-                mu=mu,
-                f_road=_smooth_from_dict(payload["f_road"]),
-                f_home=_smooth_from_dict(payload["f_home"]),
-                sigma_hat=sigma_hat,
-                iterations_used=int(payload["iterations_used"]),
-                converged=bool(payload["converged"]),
-                n_train=int(payload["n_train"]),
-            )
-        if kind == "loess":
-            return kind, _loess_from_payload(payload)
-        if kind in ("kernel-iso", "kernel-aniso"):
-            arrays = (payload["road_ranks"], payload["home_ranks"], payload["movs"])
-            if kind == "kernel-iso":
-                return kind, KernelSmootherSpec(*arrays, payload["sigma"], payload["sigma"])
-            return kind, KernelSmootherSpec(*arrays, payload["sigma_x"], payload["sigma_y"])
+        return row, row.from_payload(doc.get("payload", {}))
     except RankMarginError as exc:
         raise ParameterError(f"model file {path} has an invalid {kind!r} payload: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(
             f"model file {path} has a malformed {kind!r} payload: {exc!r}"
         ) from None
-    raise ParameterError(f"model file {path} has unknown model kind {kind!r}")
 
 
 # --------------------------------------------------------------------------
@@ -221,11 +112,11 @@ def _load_model_file(path: str):
 def cmd_ingest(args) -> int:
     data = _read_dataset(args.input)
     dates = [g.date for g in data.games]
-    replicated = sum(1 for idx in data.replicate_index.values() if len(idx) > 1)
+    _, _, counts = distinct_pairs(data.road_ranks, data.home_ranks)
     print(f"games: {len(data)}")
     print(f"dates: {min(dates)} .. {max(dates)}")
-    print(f"distinct rank pairs: {len(data.replicate_index)}")
-    print(f"replicated rank pairs: {replicated}")
+    print(f"distinct rank pairs: {len(counts)}")
+    print(f"replicated rank pairs: {int((counts > 1).sum())}")
     try:
         pe = pure_error(data)
         print(f"pure-error RMSE: {pe.rmse_pe:.2f} on {pe.df_pe} df")
@@ -247,50 +138,23 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _fit_for_kind(args, data: Dataset):
-    kind = args.model
-    if kind == "quadratic":
-        return fit_quadratic(data)
-    if kind == "gam":
-        return fit_additive(data, df_per_term=args.df)
-    if kind == "loess":
-        return fit_loess(data, span=args.span)
-    if kind == "kernel-iso":
-        if args.sigma is None:
-            raise ParameterError("kernel-iso requires --sigma")
-        return isotropic_smoother(data, args.sigma)
-    if kind == "kernel-aniso":
-        if args.sigma_x is None or args.sigma_y is None:
-            raise ParameterError("kernel-aniso requires --sigma-x and --sigma-y")
-        return anisotropic_smoother(data, args.sigma_x, args.sigma_y)
-    raise ParameterError(f"unknown model {kind!r}")
-
-
 def cmd_fit(args) -> int:
     data = _read_dataset(args.input)
-    if args.model == "all":
-        # --out is a directory; every hyperparameter must be pinned
-        out_dir = Path(args.out)
-        for kind in ("quadratic", "gam", "loess", "kernel-iso", "kernel-aniso"):
-            sub_args = argparse.Namespace(**vars(args))
-            sub_args.model = kind
-            fitted = _fit_for_kind(sub_args, data)
-            doc = {
-                "schema_version": SCHEMA_VERSION,
-                "model": kind,
-                "payload": _model_payload(kind, fitted),
-            }
-            _write_atomic(out_dir / f"{kind}.json", json.dumps(doc, indent=2))
-            print(f"wrote {out_dir / (kind + '.json')}")
-        return 0
-    fitted = _fit_for_kind(args, data)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "model": args.model,
-        "payload": _model_payload(args.model, fitted),
-    }
-    _write_atomic(Path(args.out), json.dumps(doc, indent=2))
-    print(f"wrote {args.out}")
+    rows = list(models.KINDS.values()) if args.model == "all" else [models.KINDS[args.model]]
+    docs = {}  # every kind is fitted before any file is written
+    for row in rows:
+        params = {name: getattr(args, name) for name in row.needs}
+        if None in params.values():
+            flags = " and ".join("--" + name.replace("_", "-") for name in row.needs)
+            raise ParameterError(f"{row.name} requires {flags}")
+        payload = row.to_payload(row.fit(data, params))
+        doc = {"schema_version": SCHEMA_VERSION, "model": row.name, "payload": payload}
+        docs[row.name] = json.dumps(doc, indent=2)
+    for kind, text in docs.items():
+        # with --model all, --out is a directory
+        path = Path(args.out) / f"{kind}.json" if args.model == "all" else args.out
+        _write_atomic(path, text)
+        print(f"wrote {path}")
     return 0
 
 
@@ -300,16 +164,9 @@ def cmd_predict(args) -> int:
         raise ParameterError(f"ranks must be finite numbers, got road={r} home={h}")
     if r < 1 or h < 1:
         raise ParameterError(f"ranks must be >= 1, got road={r} home={h}")
-    kind, fitted = _load_model_file(args.model_file)
-    if kind == "quadratic":
-        est = predict_quadratic(fitted, r, h)
-    elif kind == "gam":
-        est = predict_additive(fitted, r, h)
-    elif kind == "loess":
-        est = predict_loess(fitted, r, h)
-    else:
-        est = predict_kernel(fitted, r, h)
-    print(f"{kind}: predicted margin (road {r} at home {h}) = {est:.2f}")
+    row, fitted = _load_model_file(args.model_file)
+    est = float(row.predict(fitted, [r], [h])[0])
+    print(f"{row.name}: predicted margin (road {r} at home {h}) = {est:.2f}")
     print(SIGN_NOTE)
     return 0
 
@@ -412,8 +269,8 @@ def cmd_report(args) -> int:
     # nonparametric fits have no clean parameter count, so the table's
     # RMSE-vs-pure-error columns carry that comparison instead)
     lof_rows = []
-    for i, (train, _) in enumerate(pairs, start=1):
-        qf = fit_quadratic(train)
+    quad_fits = [fit_quadratic(train) for train, _ in pairs]
+    for i, ((train, _), qf) in enumerate(zip(pairs, quad_fits), start=1):
         sse = qf.sigma_hat**2 * (len(train) - 5)
         try:
             lof = lack_of_fit(sse, 5, train)
@@ -462,9 +319,7 @@ def cmd_report(args) -> int:
     )
     _write_atomic(out_dir / "report.txt", "\n".join(text_lines) + "\n")
 
-    qf1 = fit_quadratic(tune_train)
-    from .quadratic import predict_quadratic_arrays
-
+    qf1 = quad_fits[0]  # fitted on tune_train
     fitted_vals = predict_quadratic_arrays(qf1, tune_train.road_ranks, tune_train.home_ranks)
     stud = studentized_residuals(qf1, tune_train)
     resid_lines = ["fitted,studentized_residual"]
@@ -528,11 +383,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_split)
 
-    model_choices = ["quadratic", "gam", "loess", "kernel-iso", "kernel-aniso"]
-
     p = sub.add_parser("fit", help="fit one model (or all) and save as JSON")
     p.add_argument("--input", required=True)
-    p.add_argument("--model", choices=model_choices + ["all"], required=True)
+    p.add_argument("--model", choices=[*models.KINDS, "all"], required=True)
     p.add_argument("--df", type=float, default=4.0, help="GAM df per smooth term")
     p.add_argument("--span", type=float, default=0.3, help="LOESS span")
     p.add_argument("--sigma", type=float, default=None, help="isotropic kernel bandwidth")

@@ -143,11 +143,10 @@ def distinct_pairs(road, home):
 
 @dataclass(frozen=True)
 class Dataset:
-    """An ordered collection of games plus a replicate index.
-
-    The replicate index groups games that share the same
-    (road_rank, home_rank) pair; groups are what pure-error estimation and
-    lack-of-fit testing operate on.
+    """An ordered collection of games, with their ranks and margins as
+    float vectors. `distinct_pairs` groups the games that share a
+    (road_rank, home_rank) pair; pure-error estimation and lack-of-fit
+    testing operate on those groups.
     """
 
     games: tuple[GameRecord, ...]
@@ -158,13 +157,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.games)
-
-    @cached_property
-    def replicate_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        groups: dict[tuple[int, int], list[int]] = {}
-        for i, g in enumerate(self.games):
-            groups.setdefault((g.road_rank, g.home_rank), []).append(i)
-        return {pair: tuple(idx) for pair, idx in groups.items()}
 
     @cached_property
     def road_ranks(self) -> np.ndarray:

@@ -107,15 +107,9 @@ def fit_quadratic(train: Dataset, include_interaction: bool = False) -> Quadrati
 
 
 def predict_quadratic(fit: QuadraticFit, road_rank: float, home_rank: float) -> float:
-    """Predicted MOV for one rank pair (positive favors the road team)."""
-    return float(
-        fit.beta0
-        + fit.beta_r * road_rank
-        + fit.beta_h * home_rank
-        + fit.beta_rr * road_rank * road_rank
-        + fit.beta_hh * home_rank * home_rank
-        + fit.beta_rh * road_rank * home_rank
-    )
+    """Predicted MOV for one rank pair (positive favors the road team): a
+    batch of one."""
+    return float(predict_quadratic_arrays(fit, [road_rank], [home_rank])[0])
 
 
 def predict_quadratic_arrays(fit: QuadraticFit, road_ranks, home_ranks) -> np.ndarray:

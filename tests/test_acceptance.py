@@ -24,13 +24,7 @@ from rankmargin.kernel import (
     select_sigma_loo,
 )
 from rankmargin.loess import fit_loess, predict_loess, select_span_cv
-from rankmargin.models import (
-    anisotropic_kernel_model,
-    gam_model,
-    isotropic_kernel_model,
-    loess_model,
-    quadratic_model,
-)
+from rankmargin.models import table_models
 from rankmargin.numerics import f_cdf
 from rankmargin.quadratic import fit_quadratic, predict_quadratic_arrays
 from rankmargin.synth import DEFAULT_COEFFICIENTS, generate_synthetic
@@ -94,13 +88,7 @@ def test_criterion_2_pure_error_lower_bound():
         (sx, sy), _ = select_aniso_cv(
             data, [10.0, 30.0], [4.0, 12.0], folds=5, seed=seed
         )
-        specs = [
-            quadratic_model(),
-            gam_model(),
-            loess_model(span=0.3),
-            isotropic_kernel_model(sigma),
-            anisotropic_kernel_model(sx, sy),
-        ]
+        specs = table_models(span=0.3, sigma=sigma, sigma_x=sx, sigma_y=sy)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for spec in specs:

@@ -142,6 +142,21 @@ def test_fit_rejects_underflowing_bandwidth(games_csv, tmp_path, capsys, model, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--sigma-x", "20", "--sigma-y", "5"], "kernel-iso requires --sigma"),
+        (["--sigma", "1e-200", "--sigma-x", "20", "--sigma-y", "5"], "does not underflow"),
+    ],
+    ids=["missing-sigma", "underflowing-sigma"],
+)
+def test_fit_all_writes_nothing_unless_every_kind_fits(games_csv, tmp_path, capsys, flags, message):
+    rc = cli.main(["fit", "--input", str(games_csv), "--model", "all", *flags, "--out", str(tmp_path)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_predict_reference_coefficients(tmp_path, capsys):
     model_file = tmp_path / "quad.json"
     model_file.write_text(
@@ -311,6 +326,22 @@ def test_predict_rejects_invalid_loess_payload(tmp_path, capsys, changes, messag
     err = capsys.readouterr().err
     assert "invalid 'loess' payload" in err and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "kind", ["svm", ["quadratic"], {"k": 1}, None, "absent"],
+    ids=["svm", "list", "object", "null", "absent"],
+)
+def test_predict_rejects_unknown_model_kind(tmp_path, capsys, kind):
+    doc = _loess_doc()
+    if kind == "absent":
+        del doc["model"]
+    else:
+        doc["model"] = kind
+    assert _predict_file(tmp_path, doc) == 2
+    captured = capsys.readouterr()
+    assert "unknown model kind" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.fixture(scope="module")

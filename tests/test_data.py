@@ -72,7 +72,11 @@ def test_parse_replicate_grouping():
         "2015-01-12,E,F,30,40,60,72\n"
     )
     data = parse_games(text)
-    idx = data.replicate_index
+    first, inverse, _ = distinct_pairs(data.road_ranks, data.home_ranks)
+    idx = {
+        (data.road_ranks[f], data.home_ranks[f]): tuple(np.flatnonzero(inverse == g))
+        for g, f in enumerate(first)
+    }
     assert len(idx) == 2
     assert idx[(50, 100)] == (0, 1)
     assert idx[(40, 30)] == (2,)

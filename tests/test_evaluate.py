@@ -25,7 +25,7 @@ from rankmargin.evaluate import (
     rmse,
 )
 from rankmargin.kernel import select_sigma_loo
-from rankmargin.models import TABLE_COLUMNS, isotropic_kernel_model, quadratic_model, table_models
+from rankmargin.models import TABLE_COLUMNS, model_spec, table_models
 from rankmargin.synth import generate_synthetic
 from util import make_dataset
 
@@ -158,18 +158,18 @@ class TestKfoldCv:
             -5.8 - 0.074 * road + 0.10 * home + 4.7e-5 * road**2 - 1.2e-4 * home**2
         )
         data = make_dataset(road, home, movs)
-        assert kfold_cv(data, 5, 0, quadratic_model()) <= 1e-6
+        assert kfold_cv(data, 5, 0, model_spec("quadratic")) <= 1e-6
 
     def test_deterministic(self):
         data = generate_synthetic(150, seed=63, rank_max=40)
-        model = isotropic_kernel_model(12.0)
+        model = model_spec("kernel-iso", sigma=12.0)
         assert kfold_cv(data, 5, 1, model) == kfold_cv(data, 5, 1, model)
         assert kfold_cv(data, 5, 2, model) != kfold_cv(data, 5, 1, model)
 
     def test_k_equals_n_matches_leave_one_out(self):
         data = generate_synthetic(60, seed=64, rank_max=25)
         sigma = 9.0
-        via_folds = kfold_cv(data, len(data), 0, isotropic_kernel_model(sigma))
+        via_folds = kfold_cv(data, len(data), 0, model_spec("kernel-iso", sigma=sigma))
         _, curve = select_sigma_loo(data, [sigma])
         assert via_folds == pytest.approx(curve[0][1], abs=1e-10)
 
@@ -191,7 +191,7 @@ class TestBenchmark:
     def test_single_pair_means_equal_rows(self):
         data = generate_synthetic(400, seed=66, rank_max=30)
         train, valid = split(data, SplitSpec(train_count=300))
-        report = benchmark([(train, valid)], [quadratic_model()])
+        report = benchmark([(train, valid)], [model_spec("quadratic")])
         assert len(report.training_rows) == 1
         assert len(report.validation_rows) == 1
         assert report.training_mean.values == report.training_rows[0].values
@@ -204,7 +204,7 @@ class TestBenchmark:
         for seed in (67, 68):
             data = generate_synthetic(300, seed=seed, rank_max=25)
             pairs.append(split(data, SplitSpec(train_count=200)))
-        report = benchmark(pairs, [quadratic_model(), _zero_model()])
+        report = benchmark(pairs, [model_spec("quadratic"), _zero_model()])
         for rows, mean_row in (
             (report.training_rows, report.training_mean),
             (report.validation_rows, report.validation_mean),
@@ -236,7 +236,7 @@ class TestBenchmark:
     def test_round_trips(self):
         data = generate_synthetic(200, seed=70, rank_max=20)
         train, valid = split(data, SplitSpec(train_count=150))
-        report = benchmark([(train, valid)], [quadratic_model(), _zero_model()])
+        report = benchmark([(train, valid)], [model_spec("quadratic"), _zero_model()])
         assert BenchmarkReport.from_dict(report.to_dict()) == report
         assert BenchmarkReport.from_json(report.to_json()) == report
 
@@ -254,7 +254,7 @@ class TestBenchmark:
         data = generate_synthetic(100, seed=72, rank_max=15)
         pair = split(data, SplitSpec(train_count=80))
         with pytest.raises(ParameterError):
-            benchmark([], [quadratic_model()])
+            benchmark([], [model_spec("quadratic")])
         with pytest.raises(ParameterError):
             benchmark([pair], [])
 
@@ -312,7 +312,7 @@ class TestBenchmark:
 def test_text_table_layout():
     data = generate_synthetic(300, seed=73, rank_max=25)
     train, valid = split(data, SplitSpec(train_count=220))
-    report = benchmark([(train, valid)], [quadratic_model()])
+    report = benchmark([(train, valid)], [model_spec("quadratic")])
     text = report.to_text()
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     assert lines[0].split()[0] == "Dataset"

@@ -5,7 +5,7 @@ import datetime
 import numpy as np
 import pytest
 
-from rankmargin.data import write_games
+from rankmargin.data import distinct_pairs, write_games
 from rankmargin.errors import ParameterError
 from rankmargin.synth import DEFAULT_COEFFICIENTS, generate_synthetic
 
@@ -35,7 +35,8 @@ def test_replicated_pairs_at_season_scale():
     # 100 rank pairs appear at least twice
     for seed in (0, 1, 2):
         data = generate_synthetic(6024, seed=seed)
-        replicated = sum(1 for idx in data.replicate_index.values() if len(idx) > 1)
+        _, _, counts = distinct_pairs(data.road_ranks, data.home_ranks)
+        replicated = int((counts > 1).sum())
         assert replicated > 100
 
 
