@@ -11,7 +11,6 @@ from .additive import AdditiveFit, component_band, fit_additive, predict_additiv
 from .data import (
     CUSTOMARY_MAX_RANK,
     Dataset,
-    GameRecord,
     RotatedPoint,
     SplitSpec,
     fold_assignments,
@@ -87,7 +86,6 @@ __all__ = [
     "Dataset",
     "DegeneratePredictionWarning",
     "EmptyInputError",
-    "GameRecord",
     "InconsistencyError",
     "InvalidSplitError",
     "KernelSmootherSpec",

@@ -56,12 +56,17 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _read_dataset(path: str) -> Dataset:
+def _read_text(path: str, what: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise ParameterError(f"input file not found: {path}") from None
-    return parse_games(text)
+        raise ParameterError(f"{what} not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{what} {path} is not UTF-8 text: {exc}") from None
+
+
+def _read_dataset(path: str) -> Dataset:
+    return parse_games(_read_text(path, "input file"))
 
 
 def _float_list(text: str) -> list[float]:
@@ -77,9 +82,7 @@ def _float_list(text: str) -> list[float]:
 
 def _load_model_file(path: str) -> tuple[models.Kind, object]:
     try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ParameterError(f"model file not found: {path}") from None
+        doc = json.loads(_read_text(path, "model file"))
     except json.JSONDecodeError as exc:
         raise ParameterError(f"model file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -111,10 +114,9 @@ def _load_model_file(path: str) -> tuple[models.Kind, object]:
 
 def cmd_ingest(args) -> int:
     data = _read_dataset(args.input)
-    dates = [g.date for g in data.games]
     _, _, counts = distinct_pairs(data.road_ranks, data.home_ranks)
     print(f"games: {len(data)}")
-    print(f"dates: {min(dates)} .. {max(dates)}")
+    print(f"dates: {data.dates.min()} .. {data.dates.max()}")
     print(f"distinct rank pairs: {len(counts)}")
     print(f"replicated rank pairs: {int((counts > 1).sum())}")
     try:
@@ -165,7 +167,10 @@ def cmd_predict(args) -> int:
     if r < 1 or h < 1:
         raise ParameterError(f"ranks must be >= 1, got road={r} home={h}")
     row, fitted = _load_model_file(args.model_file)
-    est = float(row.predict(fitted, [r], [h])[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+        est = float(row.predict(fitted, [r], [h])[0])
+    if not math.isfinite(est):
+        raise ParameterError(f"{row.name} gives a non-finite margin {est} at road {r} home {h}")
     print(f"{row.name}: predicted margin (road {r} at home {h}) = {est:.2f}")
     print(SIGN_NOTE)
     return 0

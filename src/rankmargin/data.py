@@ -1,4 +1,4 @@
-"""Game records, CSV ingestion, train/validation splits and folds, axis rotation.
+"""Columnar game datasets, CSV ingestion, train/validation splits and folds, axis rotation.
 
 The margin of victory (MOV) convention used everywhere in this package is
 
@@ -14,8 +14,7 @@ import datetime as dt
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -46,31 +45,6 @@ CUSTOMARY_MAX_RANK = 351
 
 _SIN45 = math.sin(math.pi / 4.0)
 _COS45 = math.cos(math.pi / 4.0)
-
-
-@dataclass(frozen=True)
-class GameRecord:
-    """One game: date, team names, entering ranks, final score."""
-
-    date: dt.date
-    home_team: str
-    road_team: str
-    home_rank: int
-    road_rank: int
-    home_score: int
-    road_score: int
-    mov: int = field(init=False)
-
-    def __post_init__(self):
-        if self.home_rank < 1 or self.road_rank < 1:
-            raise ParameterError(
-                f"ranks must be >= 1, got home={self.home_rank} road={self.road_rank}"
-            )
-        if self.home_score < 0 or self.road_score < 0:
-            raise ParameterError(
-                f"scores must be >= 0, got home={self.home_score} road={self.road_score}"
-            )
-        object.__setattr__(self, "mov", self.road_score - self.home_score)
 
 
 class RotatedPoint(NamedTuple):
@@ -141,38 +115,66 @@ def distinct_pairs(road, home):
     return heads[by_first], inverse, np.bincount(inverse, minlength=len(heads))
 
 
-@dataclass(frozen=True)
+def _invalid_game(columns):
+    """(index, message) of the first game whose ranks are not integers >= 1
+    or whose scores are not finite and >= 0, or None; `columns` maps the
+    Dataset's rank and score field names to float arrays."""
+    ranks = np.stack([columns["home_ranks"], columns["road_ranks"]])
+    scores = np.stack([columns["home_scores"], columns["road_scores"]])
+    bad_ranks = ~(np.isfinite(ranks) & (ranks >= 1) & (np.floor(ranks) == ranks)).all(axis=0)
+    bad = bad_ranks | ~(np.isfinite(scores) & (scores >= 0)).all(axis=0)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    if bad_ranks[i]:
+        return i, f"ranks must be integers >= 1, got {ranks[0, i]:g}, {ranks[1, i]:g}"
+    return i, f"scores must be finite and >= 0, got {scores[0, i]:g}, {scores[1, i]:g}"
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """An ordered collection of games, with their ranks and margins as
-    float vectors. `distinct_pairs` groups the games that share a
+    """An ordered collection of games, stored as one read-only array per column.
+
+    Dates are `datetime64[D]`, team names Python strings, ranks and scores floats,
+    and `movs = road_scores - home_scores`. Ranks must be integers >= 1 and
+    scores finite and >= 0. `distinct_pairs` groups the games that share a
     (road_rank, home_rank) pair; pure-error estimation and lack-of-fit
     testing operate on those groups.
     """
 
-    games: tuple[GameRecord, ...]
+    dates: np.ndarray
+    home_teams: np.ndarray
+    road_teams: np.ndarray
+    home_ranks: np.ndarray
+    road_ranks: np.ndarray
+    home_scores: np.ndarray
+    road_scores: np.ndarray
+    movs: np.ndarray = field(init=False)
 
-    @classmethod
-    def from_games(cls, games) -> "Dataset":
-        return cls(games=tuple(games))
+    def __post_init__(self):
+        # object, not a fixed-width string dtype: one long name would pad every entry
+        dtypes = {"dates": "datetime64[D]", "home_teams": object, "road_teams": object}
+        columns = {
+            f.name: np.array(getattr(self, f.name), dtype=dtypes.get(f.name, float))
+            for f in fields(self) if f.init
+        }
+        if any(c.ndim != 1 or len(c) != len(columns["dates"]) for c in columns.values()):
+            raise DataError("the columns of a Dataset must be lists of one length")
+        bad = _invalid_game(columns)
+        if bad is not None:
+            raise ParameterError(bad[1])
+        columns["movs"] = columns["road_scores"] - columns["home_scores"]
+        for name, column in columns.items():
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.games)
-
-    @cached_property
-    def road_ranks(self) -> np.ndarray:
-        return np.array([g.road_rank for g in self.games], dtype=float)
-
-    @cached_property
-    def home_ranks(self) -> np.ndarray:
-        return np.array([g.home_rank for g in self.games], dtype=float)
-
-    @cached_property
-    def movs(self) -> np.ndarray:
-        return np.array([g.mov for g in self.games], dtype=float)
+        return len(self.movs)
 
     def subset(self, indices) -> "Dataset":
         """New Dataset holding the games at `indices`, in the given order."""
-        return Dataset.from_games(self.games[int(i)] for i in indices)
+        idx = np.asarray(indices, dtype=np.intp)
+        return Dataset(**{f.name: getattr(self, f.name)[idx] for f in fields(self) if f.init})
 
 
 @dataclass(frozen=True)
@@ -192,9 +194,8 @@ class SplitSpec:
 def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Split `dataset` into (train, validation) per `spec`.
 
-    Both parts rebuild their own replicate indexes. Deterministic: the
-    chronological mode depends only on dates and input order, the random
-    mode only on (size, seed).
+    Deterministic: the chronological mode depends only on dates and input
+    order, the random mode only on (size, seed).
     """
     n = len(dataset)
     if not 0 < spec.train_count < n:
@@ -203,18 +204,16 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
             f"got {spec.train_count}"
         )
     if spec.mode == "chronological":
-        order = sorted(range(n), key=lambda i: (dataset.games[i].date, i))
+        order = np.argsort(dataset.dates, kind="stable")
     elif spec.mode == "random":
         if spec.seed is None:
             raise InvalidSplitError("random mode requires a seed")
         if spec.seed < 0:
             raise InvalidSplitError(f"seed must be nonnegative, got {spec.seed}")
-        order = list(np.random.default_rng(spec.seed).permutation(n))
+        order = np.random.default_rng(spec.seed).permutation(n)
     else:
         raise InvalidSplitError(f"unknown split mode {spec.mode!r}")
-    train_idx = order[: spec.train_count]
-    valid_idx = order[spec.train_count :]
-    return dataset.subset(train_idx), dataset.subset(valid_idx)
+    return dataset.subset(order[: spec.train_count]), dataset.subset(order[spec.train_count :])
 
 
 def fold_assignments(n: int, k: int, seed: int) -> list[np.ndarray]:
@@ -226,6 +225,8 @@ def fold_assignments(n: int, k: int, seed: int) -> list[np.ndarray]:
     """
     if not 2 <= k <= n:
         raise ParameterError(f"folds must satisfy 2 <= k <= n, got k={k}, n={n}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     perm = np.random.default_rng(seed).permutation(n)
     return list(np.array_split(perm, k))
 
@@ -240,9 +241,13 @@ def fold_splits(n: int, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]
 def _parse_int(raw: str, column: str, row: int) -> int:
     text = raw.strip()
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise RowParseError(row, f"column {column!r} is not an integer: {raw!r}") from None
+    # a float column holds integers exactly only up to 2**53
+    if abs(value) > 2**53:
+        raise RowParseError(row, f"column {column!r} is beyond 2**53: {raw!r}")
+    return value
 
 
 def parse_games(text: str) -> Dataset:
@@ -250,8 +255,8 @@ def parse_games(text: str) -> Dataset:
 
     Expects a header with the columns in CSV_COLUMNS (extra columns are
     ignored). Dates must be ISO (YYYY-MM-DD); ranks and scores must be
-    integers, ranks >= 1 and scores >= 0. Ranks above 351 are accepted with
-    a RankRangeWarning. Row order is preserved.
+    integers of magnitude at most 2**53, ranks >= 1 and scores >= 0. Ranks
+    above 351 are accepted with a RankRangeWarning. Row order is preserved.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -264,58 +269,45 @@ def parse_games(text: str) -> Dataset:
         raise CsvFormatError(f"missing required column(s): {', '.join(missing)}")
     col = {name: header.index(name) for name in CSV_COLUMNS}
 
-    games: list[GameRecord] = []
-    oversized = 0
+    columns: dict[str, list] = {name: [] for name in CSV_COLUMNS}
+    row_nums = []
     for row_num, row in enumerate(reader, start=1):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) < len(header):
             raise RowParseError(row_num, f"expected {len(header)} cells, got {len(row)}")
         try:
-            date = dt.date.fromisoformat(row[col["date"]].strip())
+            columns["date"].append(dt.date.fromisoformat(row[col["date"]].strip()))
         except ValueError:
             raise RowParseError(
                 row_num, f"column 'date' is not an ISO date: {row[col['date']]!r}"
             ) from None
-        home_rank = _parse_int(row[col["home_rank"]], "home_rank", row_num)
-        road_rank = _parse_int(row[col["road_rank"]], "road_rank", row_num)
-        home_score = _parse_int(row[col["home_score"]], "home_score", row_num)
-        road_score = _parse_int(row[col["road_score"]], "road_score", row_num)
-        if home_rank < 1 or road_rank < 1:
-            raise RowParseError(row_num, f"ranks must be >= 1, got {home_rank}, {road_rank}")
-        if home_score < 0 or road_score < 0:
-            raise RowParseError(
-                row_num, f"scores must be >= 0, got {home_score}, {road_score}"
-            )
-        if home_rank > CUSTOMARY_MAX_RANK or road_rank > CUSTOMARY_MAX_RANK:
-            oversized += 1
-        games.append(
-            GameRecord(
-                date=date,
-                home_team=row[col["home_team"]].strip(),
-                road_team=row[col["road_team"]].strip(),
-                home_rank=home_rank,
-                road_rank=road_rank,
-                home_score=home_score,
-                road_score=road_score,
-            )
-        )
-    if not games:
+        for name in ("home_team", "road_team"):
+            columns[name].append(row[col[name]].strip())
+        for name in CSV_COLUMNS[3:]:  # the ranks and scores
+            columns[name].append(_parse_int(row[col[name]], name, row_num))
+        row_nums.append(row_num)
+    if not row_nums:
         raise EmptyInputError("no game rows found")
+    numbers = {name + "s": np.array(columns[name], dtype=float) for name in CSV_COLUMNS[3:]}
+    bad = _invalid_game(numbers)
+    if bad is not None:
+        raise RowParseError(row_nums[bad[0]], bad[1])
+    highest = np.maximum(numbers["home_ranks"], numbers["road_ranks"])
+    oversized = int((highest > CUSTOMARY_MAX_RANK).sum())
     if oversized:
         warnings.warn(
             f"{oversized} game(s) have ranks above {CUSTOMARY_MAX_RANK}",
             RankRangeWarning,
             stacklevel=2,
         )
-    return Dataset.from_games(games)
+    return Dataset(dates=columns["date"], home_teams=columns["home_team"],
+                   road_teams=columns["road_team"], **numbers)
 
 
-def _format_score(value) -> str:
+def _format_score(value: float) -> str:
     # Integer scores round-trip exactly; synthetic real-valued scores keep
     # full precision via repr.
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     f = float(value)
     return str(int(f)) if f.is_integer() else repr(f)
 
@@ -325,16 +317,9 @@ def write_games(dataset: Dataset) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for g in dataset.games:
-        writer.writerow(
-            [
-                g.date.isoformat(),
-                g.home_team,
-                g.road_team,
-                str(int(g.home_rank)),
-                str(int(g.road_rank)),
-                _format_score(g.home_score),
-                _format_score(g.road_score),
-            ]
-        )
+    columns = zip(dataset.dates.astype(str), dataset.home_teams, dataset.road_teams,
+                  dataset.home_ranks, dataset.road_ranks, dataset.home_scores, dataset.road_scores)
+    for date, home, road, home_rank, road_rank, home_score, road_score in columns:
+        writer.writerow([date, home, road, str(int(home_rank)), str(int(road_rank)),
+                         _format_score(home_score), _format_score(road_score)])
     return out.getvalue()

@@ -8,12 +8,11 @@ at 70 when the road team loses, the home score at 70 when it wins).
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 
 import numpy as np
 
-from .data import Dataset, GameRecord
+from .data import Dataset
 from .errors import ParameterError
 
 # Defaults approximate the margin structure of NCAA regular-season games:
@@ -23,7 +22,7 @@ DEFAULT_COEFFICIENTS = (-5.8, -0.074, 0.10, 4.7e-5, -1.2e-4)
 DEFAULT_NOISE_SIGMA = 11.5
 DEFAULT_RANK_MAX = 351
 
-_START_DATE = dt.date(2014, 11, 1)
+_START_DATE = np.datetime64("2014-11-01")
 _GAMES_PER_DAY = 50
 
 
@@ -49,13 +48,18 @@ def generate_synthetic(
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    if rank_max < 2:
-        raise ParameterError(f"rank_max must be >= 2, got {rank_max}")
+    if not 2 <= rank_max <= 2**53:
+        raise ParameterError(f"rank_max must be in [2, 2**53], got {rank_max}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ParameterError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     coefficients = tuple(float(c) for c in coefficients)
     if len(coefficients) != 5:
         raise ParameterError(f"expected 5 coefficients, got {len(coefficients)}")
+    bad = [f"b{i} = {c}" for i, c in enumerate(coefficients) if not math.isfinite(c)]
+    if bad:
+        raise ParameterError(f"coefficients must be finite, got {', '.join(bad)}")
     b0, b1, b2, b3, b4 = coefficients
 
     rng = np.random.default_rng(seed)
@@ -74,22 +78,14 @@ def generate_synthetic(
             f"beyond 2**53"
         )
 
-    games = []
-    for i in range(n):
-        m = mov[i]
-        if round_margins:
-            m = int(m)
-        road_score = 70 + max(m, 0)
-        home_score = road_score - m
-        games.append(
-            GameRecord(
-                date=_START_DATE + dt.timedelta(days=i // _GAMES_PER_DAY),
-                home_team=f"T{int(home[i]):03d}",
-                road_team=f"T{int(road[i]):03d}",
-                home_rank=int(home[i]),
-                road_rank=int(road[i]),
-                home_score=home_score,
-                road_score=road_score,
-            )
-        )
-    return Dataset.from_games(games)
+    road_scores = 70.0 + np.maximum(mov, 0.0)
+    teams = np.char.add("T", np.char.zfill(ranks.astype(str), 3))
+    return Dataset(
+        dates=_START_DATE + np.arange(n) // _GAMES_PER_DAY,
+        home_teams=teams[:, 1],
+        road_teams=teams[:, 0],
+        home_ranks=home,
+        road_ranks=road,
+        home_scores=road_scores - mov,
+        road_scores=road_scores,
+    )

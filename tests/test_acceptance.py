@@ -283,7 +283,7 @@ def test_criterion_9_determinism(tmp_path):
     s1 = split(data, SplitSpec(train_count=600, mode="random", seed=5))
     s2 = split(data, SplitSpec(train_count=600, mode="random", seed=5))
     split_ok = all(
-        [g.date for g in h1.games] == [g.date for g in h2.games]
+        np.array_equal(h1.dates, h2.dates)
         and np.array_equal(h1.movs, h2.movs)
         for h1, h2 in zip(s1, s2)
     )

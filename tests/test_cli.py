@@ -54,7 +54,7 @@ def test_split_writes_both_halves(games_csv, tmp_path, capsys):
     train = parse_games((tmp_path / "train.csv").read_text())
     valid = parse_games((tmp_path / "valid.csv").read_text())
     assert len(train) == 180 and len(valid) == 60
-    assert max(g.date for g in train.games) <= min(g.date for g in valid.games)
+    assert train.dates.max() <= valid.dates.min()
     out = capsys.readouterr().out
     assert "train.csv (180 games)" in out
 
@@ -412,6 +412,34 @@ def test_kernel_file_predicts_like_the_fitted_smoother(games_csv, tmp_path, caps
         assert f"= {predict_kernel(spec, 5.0, 20.0):.2f}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "kind, path, value, road",
+    [
+        ("quadratic", [], None, "1e200"),  # beta_rr * road**2 overflows to inf
+        ("gam", ["f_road", "knots"], lambda knots: [k * 1e300 for k in knots], "3"),
+    ],
+    ids=["quadratic-huge-rank", "gam-huge-knots"],
+)
+def test_predict_rejects_non_finite_margin(tmp_path, capsys, model_docs, kind, path, value, road):
+    doc = _edited(model_docs[kind], path, value) if path else model_docs[kind]
+    assert _predict_file(tmp_path, doc, road=road, home="1") == 2
+    captured = capsys.readouterr()
+    assert f"{kind} gives a non-finite margin" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["ingest", "predict"])
+def test_non_utf8_input_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe" + "date,home_team".encode("utf-16-le"))
+    argv = (["ingest", "--input", str(path)] if command == "ingest" else
+            ["predict", "--model-file", str(path), "--road-rank", "1", "--home-rank", "2"])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{path} is not UTF-8 text" in err and "Traceback" not in err
+
+
 def test_python_m_runs_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
@@ -586,6 +614,39 @@ def test_synth_rejects_bad_noise(tmp_path, capsys, noise):
     assert cli.main(["synth", "--n", "20", "--noise-sigma", noise, "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--rank-max", "100000000000000000000"], "rank_max must be in [2, 2**53]"),
+        (["--coefficients", "nan,0,0,0,0"], "coefficients must be finite, got b0 = nan"),
+        (["--coefficients", "1,2,3,inf,0"], "coefficients must be finite, got b3 = inf"),
+    ],
+)
+def test_synth_rejects_bad_flags(tmp_path, capsys, flags, message):
+    out = tmp_path / "s.csv"
+    assert cli.main(["synth", "--n", "20", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--seed", "-1", "--span", "0.5", "--sigma", "8", "--sigma-x", "20",
+         "--sigma-y", "5"],
+        ["tune", "--seed", "-3", "--model", "loess"],
+        ["tune", "--seed", "-3", "--model", "kernel-aniso"],
+    ],
+    ids=["report", "tune-loess", "tune-aniso"],
+)
+def test_negative_seed_exits_2(games_csv, tmp_path, capsys, argv):
+    assert cli.main([*argv, "--input", str(games_csv), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0, got -" in err and "Traceback" not in err
 
 
 def test_usage_error_exit_code(capsys):

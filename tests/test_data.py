@@ -1,4 +1,4 @@
-"""CSV ingestion, game records, coordinate rotation, and splitting."""
+"""CSV ingestion, the columnar Dataset, coordinate rotation, and splitting."""
 
 import datetime
 import math
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from rankmargin.data import (
     CUSTOMARY_MAX_RANK,
     Dataset,
-    GameRecord,
     SplitSpec,
     distinct_pairs,
     fold_assignments,
@@ -24,6 +23,7 @@ from rankmargin.data import (
 )
 from rankmargin.errors import (
     CsvFormatError,
+    DataError,
     EmptyInputError,
     InvalidSplitError,
     ParameterError,
@@ -37,32 +37,46 @@ import oracles
 HEADER = "date,home_team,road_team,home_rank,road_rank,home_score,road_score\n"
 
 
-def test_game_record_mov():
-    g = GameRecord(
-        date=datetime.date(2015, 1, 10),
-        home_team="A",
-        road_team="B",
-        home_rank=100,
-        road_rank=50,
-        home_score=70,
-        road_score=65,
-    )
-    assert g.mov == -5
+def _one_game(home_rank=100, road_rank=50, home_score=70, road_score=65):
+    return Dataset(["2015-01-10"], ["A"], ["B"], [home_rank], [road_rank], [home_score], [road_score])
 
 
-def test_game_record_validation():
-    with pytest.raises(ParameterError):
-        GameRecord(datetime.date(2015, 1, 1), "A", "B", 0, 50, 70, 65)
-    with pytest.raises(ParameterError):
-        GameRecord(datetime.date(2015, 1, 1), "A", "B", 10, 50, -1, 65)
+def test_dataset_mov():
+    data = _one_game()
+    assert data.dates[0] == np.datetime64("2015-01-10")
+    assert data.movs.tolist() == [-5.0]
+
+
+def test_dataset_validation():
+    for rank in (0, -3, 2.5, math.inf, math.nan):
+        for game in (dict(home_rank=rank), dict(road_rank=rank)):
+            with pytest.raises(ParameterError, match="ranks must be integers >= 1"):
+                _one_game(**game)
+    for score in (-1, -0.5, math.inf, math.nan):
+        for game in (dict(home_score=score), dict(road_score=score)):
+            with pytest.raises(ParameterError, match="scores must be finite and >= 0"):
+                _one_game(**game)
+
+
+def test_dataset_columns_are_one_length_read_only_copies():
+    with pytest.raises(DataError):
+        Dataset(["2015-01-10"], ["A", "C"], ["B"], [1], [2], [3], [4])
+    names = ["A\x00", "x" * 10_000]  # kept as given, without padding the short one
+    data = Dataset(["2015-01-10"] * 2, names, names, [1, 2], [2, 1], [3, 3], [4, 4])
+    assert data.home_teams.tolist() == names and data.home_teams.dtype == object
+    ranks = np.array([4.0])
+    data = Dataset(["2015-01-10"], ["A"], ["B"], ranks, [2], [3], [4])
+    ranks[0] = 0.0  # the Dataset holds a copy
+    assert data.home_ranks[0] == 4.0
+    with pytest.raises(ValueError):
+        data.movs[0] = 1.0
 
 
 def test_parse_single_row():
     data = parse_games(HEADER + "2015-01-10,A,B,100,50,70,65\n")
     assert len(data) == 1
-    g = data.games[0]
-    assert g.home_rank == 100 and g.road_rank == 50
-    assert g.mov == -5
+    assert data.home_ranks[0] == 100 and data.road_ranks[0] == 50
+    assert data.movs[0] == -5
 
 
 def test_parse_replicate_grouping():
@@ -87,6 +101,27 @@ def test_parse_bad_rank_names_row():
     with pytest.raises(RowParseError) as err:
         parse_games(text)
     assert "row 1" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("2015-01-11,A,B,0,50,70,65", "ranks must be integers >= 1, got 0, 50"),
+        ("2015-01-11,A,B,10,50,70,-2", "scores must be finite and >= 0, got 70, -2"),
+        ("2015-01-11,A,B,10,50,9007199254740993,65", "'home_score' is beyond 2**53"),
+        ("2015-01-11,A,B,10,9007199254740993,70,65", "'road_rank' is beyond 2**53"),
+    ],
+)
+def test_parse_rule_errors_name_row(row, message):
+    text = HEADER + "2015-01-10,A,B,10,50,70,65\n\n" + row + "\n"
+    with pytest.raises(RowParseError) as err:
+        parse_games(text)
+    assert err.value.row == 3 and message in str(err.value)
+
+
+def test_parse_accepts_scores_up_to_2_to_the_53():
+    data = parse_games(HEADER + "2015-01-10,A,B,10,50,9007199254740992,0\n")
+    assert data.movs[0] == -(2.0**53)
 
 
 def test_parse_bad_date_names_row():
@@ -133,33 +168,40 @@ def test_roundtrip_write_parse():
     np.testing.assert_array_equal(again.road_ranks, data.road_ranks)
     np.testing.assert_array_equal(again.home_ranks, data.home_ranks)
     np.testing.assert_allclose(again.movs, data.movs, rtol=0, atol=0)
-    assert [g.date for g in again.games] == [g.date for g in data.games]
+    np.testing.assert_array_equal(again.dates, data.dates)
 
 
 _TEAM = st.text(alphabet="ABCxyz09 ,.'\"&-", max_size=12).map(str.strip)
 
 
+_COLUMNS = ("dates", "home_teams", "road_teams", "home_ranks", "road_ranks",
+            "home_scores", "road_scores", "movs")
+
+
 @st.composite
 def _games(draw):
     n = draw(st.integers(1, 20))
-    return Dataset.from_games(
-        GameRecord(
-            date=draw(st.dates(datetime.date(1990, 1, 1), datetime.date(2040, 12, 31))),
-            home_team=draw(_TEAM),
-            road_team=draw(_TEAM),
-            home_rank=draw(st.integers(1, CUSTOMARY_MAX_RANK)),
-            road_rank=draw(st.integers(1, CUSTOMARY_MAX_RANK)),
-            home_score=draw(st.integers(0, 200)),
-            road_score=draw(st.integers(0, 200)),
-        )
-        for _ in range(n)
+    column = lambda strategy: draw(st.lists(strategy, min_size=n, max_size=n))
+    return Dataset(
+        dates=column(st.dates(datetime.date(1990, 1, 1), datetime.date(2040, 12, 31))),
+        home_teams=column(_TEAM),
+        road_teams=column(_TEAM),
+        home_ranks=column(st.integers(1, CUSTOMARY_MAX_RANK)),
+        road_ranks=column(st.integers(1, CUSTOMARY_MAX_RANK)),
+        home_scores=column(st.integers(0, 200)),
+        road_scores=column(st.integers(0, 200)),
     )
+
+
+def _assert_same_games(a, b):
+    for name in _COLUMNS:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 @settings(max_examples=80, deadline=None)
 @given(_games())
 def test_write_then_parse_is_a_round_trip(data):
-    assert parse_games(write_games(data)).games == data.games
+    _assert_same_games(parse_games(write_games(data)), data)
 
 
 _N_AND_K = st.integers(2, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n)))
@@ -248,17 +290,33 @@ def test_chronological_split_sizes():
     train, valid = split(data, SplitSpec(train_count=4518))
     assert len(train) == 4518
     assert len(valid) == 1506
-    last_train = max(g.date for g in train.games)
-    first_valid = min(g.date for g in valid.games)
-    assert last_train <= first_valid
+    assert train.dates.max() <= valid.dates.min()
 
 
 def test_chronological_split_is_stable_for_ties():
     # many games share a date; order within a date must follow input order
     data = generate_synthetic(200, seed=1)
     train, valid = split(data, SplitSpec(train_count=130))
-    rebuilt = list(train.games) + list(valid.games)
-    assert sorted(rebuilt, key=lambda g: g.date) == rebuilt
+    rebuilt = [
+        (str(d), r, h, m)
+        for part in (train, valid)
+        for d, r, h, m in zip(part.dates, part.road_ranks, part.home_ranks, part.movs)
+    ]
+    original = list(zip(data.dates.astype(str), data.road_ranks, data.home_ranks, data.movs))
+    assert sorted(original, key=lambda g: g[0]) == rebuilt
+
+
+def test_chronological_split_breaks_date_ties_by_input_order():
+    dates = ["2015-01-03", "2015-01-01", "2015-01-03", "2015-01-02", "2015-01-01"]
+    data = Dataset(dates, ["A"] * 5, ["B"] * 5, [1, 2, 3, 4, 5], [1] * 5, [0] * 5, [0] * 5)
+    train, valid = split(data, SplitSpec(train_count=3))
+    assert train.home_ranks.tolist() == [2, 5, 4]
+    assert valid.home_ranks.tolist() == [1, 3]
+
+
+def test_fold_assignments_reject_negative_seed():
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        fold_assignments(10, 2, -1)
 
 
 def test_random_split_deterministic():
@@ -276,12 +334,8 @@ def test_split_preserves_games():
     data = generate_synthetic(150, seed=4)
     train, valid = split(data, SplitSpec(train_count=90, mode="random", seed=0))
     assert len(train) + len(valid) == len(data)
-    combined = sorted(
-        [(g.date, g.road_rank, g.home_rank, g.mov) for g in train.games]
-        + [(g.date, g.road_rank, g.home_rank, g.mov) for g in valid.games]
-    )
-    original = sorted((g.date, g.road_rank, g.home_rank, g.mov) for g in data.games)
-    assert combined == original
+    games = lambda part: list(zip(part.dates.astype(str), part.road_ranks, part.home_ranks, part.movs))
+    assert sorted(games(train) + games(valid)) == sorted(games(data))
 
 
 def test_split_errors():
@@ -299,8 +353,9 @@ def test_split_errors():
 def test_dataset_arrays_and_subset():
     data = generate_synthetic(50, seed=6, rank_max=20)
     assert data.road_ranks.dtype == float
-    for i, g in enumerate(data.games):
-        assert data.movs[i] == g.mov
+    np.testing.assert_array_equal(data.movs, data.road_scores - data.home_scores)
     sub = data.subset([0, 3, 7])
     assert len(sub) == 3
-    assert sub.games[1] is data.games[3]
+    for name in _COLUMNS:
+        np.testing.assert_array_equal(getattr(sub, name), getattr(data, name)[[0, 3, 7]])
+    assert len(data.subset([])) == 0

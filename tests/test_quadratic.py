@@ -75,7 +75,7 @@ def test_constant_shift_moves_intercept_only():
     from util import make_dataset
 
     shifted = make_dataset(
-        data.road_ranks, data.home_ranks, data.movs + 9.0, [g.date for g in data.games]
+        data.road_ranks, data.home_ranks, data.movs + 9.0, data.dates
     )
     a = fit_quadratic(data)
     b = fit_quadratic(shifted)

@@ -50,9 +50,28 @@ def test_rank_bounds_and_coverage():
 
 def test_scores_consistent_with_margin():
     data = generate_synthetic(400, seed=4)
-    for g in data.games:
-        assert g.road_score - g.home_score == g.mov
-        assert g.home_score >= 0 and g.road_score >= 0
+    np.testing.assert_array_equal(data.road_scores - data.home_scores, data.movs)
+    assert (data.home_scores >= 0).all() and (data.road_scores >= 0).all()
+
+
+@pytest.mark.parametrize("round_margins", [False, True])
+def test_columns_match_per_game_reference(round_margins):
+    # the columns are built without a loop; this is the per-game rule they replace
+    data = generate_synthetic(230, seed=12, round_margins=round_margins)
+    rng = np.random.default_rng(12)
+    ranks = rng.integers(1, 352, size=(230, 2))
+    noise = rng.normal(0.0, 11.5, size=230)
+    b0, b1, b2, b3, b4 = DEFAULT_COEFFICIENTS
+    for i, (r, h) in enumerate(ranks.astype(float)):
+        m = b0 + b1 * r + b2 * h + b3 * r * r + b4 * h * h + noise[i]
+        m = int(np.rint(m)) if round_margins else m
+        road_score = 70 + max(m, 0)
+        home_score = road_score - m
+        assert data.dates[i] == np.datetime64("2014-11-01") + i // 50
+        assert (data.road_teams[i], data.home_teams[i]) == (f"T{int(r):03d}", f"T{int(h):03d}")
+        assert (data.road_ranks[i], data.home_ranks[i]) == (r, h)
+        assert (data.road_scores[i], data.home_scores[i]) == (road_score, home_score)
+        assert data.movs[i] == road_score - home_score
 
 
 def test_round_margins_gives_integers():
@@ -62,7 +81,7 @@ def test_round_margins_gives_integers():
 
 def test_dates_advance():
     data = generate_synthetic(120, seed=6)
-    dates = [g.date for g in data.games]
+    dates = data.dates.tolist()
     assert dates[0] == datetime.date(2014, 11, 1)
     assert dates[49] == datetime.date(2014, 11, 1)
     assert dates[50] == datetime.date(2014, 11, 2)
@@ -93,3 +112,15 @@ def test_parameter_validation():
         generate_synthetic(10, coefficients=(2.0**53, 0, 0, 0, 0), noise_sigma=0.0, seed=0)
     with pytest.raises(ParameterError):
         generate_synthetic(10, coefficients=(1.0, 2.0), seed=0)
+
+
+def test_rejects_negative_seed_huge_rank_max_and_non_finite_coefficients():
+    with pytest.raises(ParameterError, match="seed must be >= 0"):
+        generate_synthetic(10, seed=-1)
+    with pytest.raises(ParameterError, match="rank_max"):
+        generate_synthetic(10, rank_max=2**53 + 1, seed=0)
+    with pytest.raises(ParameterError, match="b2 = nan"):
+        generate_synthetic(10, coefficients=(0, 0, float("nan"), 0, 0), seed=0)
+    # the largest rank_max is fine: every rank is still an exact float
+    data = generate_synthetic(5, rank_max=2**53, noise_sigma=0.0, coefficients=(0,) * 5)
+    assert (data.road_ranks <= 2.0**53).all() and (data.movs == 0).all()

@@ -2,33 +2,29 @@
 
 from __future__ import annotations
 
-import datetime
+import numpy as np
 
-from rankmargin.data import Dataset, GameRecord
+from rankmargin.data import Dataset
 
 
 def make_dataset(road_ranks, home_ranks, movs, dates=None) -> Dataset:
     """Build a Dataset from parallel sequences, back-filling scores.
 
-    Scores are chosen so road - home reproduces each margin exactly while
-    both stay nonnegative.
+    Ranks are truncated to integers. Scores are chosen so road - home
+    reproduces each margin exactly while both stay nonnegative.
     """
-    n = len(movs)
+    road = np.trunc(np.asarray(road_ranks, dtype=float))
+    home = np.trunc(np.asarray(home_ranks, dtype=float))
+    movs = np.asarray(movs, dtype=float)
     if dates is None:
-        base = datetime.date(2015, 1, 1)
-        dates = [base + datetime.timedelta(days=i) for i in range(n)]
-    games = []
-    for r, h, m, d in zip(road_ranks, home_ranks, movs, dates):
-        road_score = 70.0 + max(m, 0.0)
-        games.append(
-            GameRecord(
-                date=d,
-                home_team=f"H{int(h)}",
-                road_team=f"R{int(r)}",
-                home_rank=int(h),
-                road_rank=int(r),
-                home_score=road_score - m,
-                road_score=road_score,
-            )
-        )
-    return Dataset.from_games(games)
+        dates = np.datetime64("2015-01-01") + np.arange(len(movs))
+    road_scores = 70.0 + np.maximum(movs, 0.0)
+    return Dataset(
+        dates=dates,
+        home_teams=[f"H{int(h)}" for h in home],
+        road_teams=[f"R{int(r)}" for r in road],
+        home_ranks=home,
+        road_ranks=road,
+        home_scores=road_scores - movs,
+        road_scores=road_scores,
+    )
