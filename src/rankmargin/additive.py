@@ -162,15 +162,15 @@ def component_band(fit: AdditiveFit, which_term: str, grid):
         raise ParameterError(f"which_term must be 'road' or 'home', got {which_term!r}")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
 
-    # Rebuild the final smoother from the stored knots/weights/lambda.
+    # Row g of rho = (A - 1 c') S maps the knots' group means to the centered
+    # estimate at grid point g. S' = W S W^{-1}, so that row is w times the
+    # smooth of (a_g - c) / w, taken as if it were a vector of group means.
     smoother = SplineSmoother(sf.knots, sf.knot_weights)
-    s_matrix = smoother.smoother_matrix(sf.lam)
-    a = evaluation_weights(sf.knots, grid)  # grid point <- knot values
     w = sf.knot_weights
-    centering = w / w.sum()
-    rho = (a - centering[None, :]) @ s_matrix
+    rows = evaluation_weights(sf.knots, grid) - w / w.sum()
+    rho = smoother.fitted_values(rows / w, sf.lam) * w
     # Var(group mean k) = sigma^2 / w_k under unit-weight training games
-    se = fit.sigma_hat * np.sqrt((rho * rho) @ (1.0 / w))
+    se = fit.sigma_hat * np.sqrt(np.sum(rho * rho / w, axis=1))
     estimate = evaluate_smooth(sf, grid)
     half = 1.96 * se
     return estimate, estimate - half, estimate + half

@@ -210,7 +210,7 @@ def _direct_means(r, h, lat: _Lattice, sigma_x, sigma_y, own=None):
 def _means(lat: _Lattice, r, h, sums, sigma_x, sigma_y, counts):
     """Kernel-weighted means at the distinct query pairs (r, h) from their
     lattice sums, with the exact path for far rows. Returns (means,
-    fallbacks counted per original query, rows on the exact path)."""
+    fallbacks counted per original query)."""
     u, v = r + h, r - h
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         means = sums[0] / sums[1]
@@ -222,7 +222,7 @@ def _means(lat: _Lattice, r, h, sums, sigma_x, sigma_y, counts):
     if exact.any():
         means[exact], fell = _direct_means(r[exact], h[exact], lat, sigma_x, sigma_y)
         fallen = int(counts[exact][fell].sum())
-    return means, fallen, int(exact.sum())
+    return means, fallen
 
 
 def predict_kernel(spec: KernelSmootherSpec, road_rank: float, home_rank: float) -> float:
@@ -231,19 +231,19 @@ def predict_kernel(spec: KernelSmootherSpec, road_rank: float, home_rank: float)
 
 
 def _predict(spec: KernelSmootherSpec, road_ranks, home_ranks):
-    """(predictions, overflow fallbacks, rows on the exact path)."""
+    """(predictions, overflow fallbacks)."""
     r = np.atleast_1d(np.asarray(road_ranks, dtype=float))
     h = np.atleast_1d(np.asarray(home_ranks, dtype=float))
     first, inverse, counts = distinct_pairs(r, h)
     r, h = r[first], h[first]
     sums = _kernel_sums(spec.lattice, r + h, r - h, [spec.sigma_x], [spec.sigma_y])[0, 0]
-    means, fallen, exact = _means(spec.lattice, r, h, sums, spec.sigma_x, spec.sigma_y, counts)
-    return means[inverse], fallen, exact
+    means, fallen = _means(spec.lattice, r, h, sums, spec.sigma_x, spec.sigma_y, counts)
+    return means[inverse], fallen
 
 
 def predict_kernel_arrays(spec: KernelSmootherSpec, road_ranks, home_ranks) -> np.ndarray:
     """Vectorized predictions, each distinct query pair once."""
-    preds, fallen, _ = _predict(spec, road_ranks, home_ranks)
+    preds, fallen = _predict(spec, road_ranks, home_ranks)
     warn_fallbacks("kernel", Counter({_OVERFLOW: fallen}), len(preds))
     return preds
 
@@ -264,13 +264,13 @@ def bandwidth_grid(values, name):
 
 def _loo(train: Dataset, grid):
     """Leave-one-out squared errors summed per bandwidth of `grid`, with the
-    overflow fallbacks and the rows on the exact path."""
+    overflow fallbacks."""
     lat = _lattice(train.road_ranks, train.home_ranks, train.movs)
     first, pair, _ = distinct_pairs(lat.road, lat.home)
     u, v = lat.road[first] + lat.home[first], lat.road[first] - lat.home[first]
     games = np.arange(len(lat.movs))
     preds = np.empty((len(grid), len(games)))
-    fallen = exact_rows = 0
+    fallen = 0
     for gi, sigma in enumerate(grid):
         f_s, f_n = _kernel_sums(lat, u, v, [sigma], [sigma])[0, 0][:, pair]
         rest = f_n - 1.0  # the own pair weighs exactly 1 * 1
@@ -282,9 +282,8 @@ def _loo(train: Dataset, grid):
                 lat.road[exact], lat.home[exact], lat, sigma, sigma, own=games[exact]
             )
             fallen += int(fell.sum())
-            exact_rows += int(exact.sum())
     preds -= lat.movs
-    return np.einsum("ij,ij->i", preds, preds), fallen, exact_rows
+    return np.einsum("ij,ij->i", preds, preds), fallen
 
 
 def select_sigma_loo(train: Dataset, sigma_grid=None):
@@ -299,7 +298,7 @@ def select_sigma_loo(train: Dataset, sigma_grid=None):
     n = len(train)
     if n < 2:
         raise DataError("leave-one-out needs at least 2 games")
-    total_sq, fallen, _ = _loo(train, grid)
+    total_sq, fallen = _loo(train, grid)
     warn_fallbacks("kernel", Counter({_OVERFLOW: fallen}), n * len(grid))
     curve = [(s, math.sqrt(t / n)) for s, t in zip(grid, total_sq)]
     return min_ties_to_larger(curve)[0], curve
@@ -307,22 +306,21 @@ def select_sigma_loo(train: Dataset, sigma_grid=None):
 
 def _aniso_cv(train: Dataset, xs, ys, folds: int, seed: int):
     """Pooled squared errors over the folds, shape (len(xs), len(ys)), with
-    the overflow fallbacks and the rows on the exact path."""
+    the overflow fallbacks."""
     road, home, movs = train.road_ranks, train.home_ranks, train.movs
     total_sq = np.zeros((len(xs), len(ys)))
-    fallen = exact_rows = 0
+    fallen = 0
     for tr, held in fold_splits(len(train), folds, seed):
         lat = _lattice(road[tr], home[tr], movs[tr])
         first, inverse, counts = distinct_pairs(road[held], home[held])
         r, h = road[held][first], home[held][first]
         sums = _kernel_sums(lat, r + h, r - h, xs, ys)
         for (xi, sx), (yi, sy) in product(enumerate(xs), enumerate(ys)):
-            means, fell, exact = _means(lat, r, h, sums[xi, yi], sx, sy, counts)
+            means, fell = _means(lat, r, h, sums[xi, yi], sx, sy, counts)
             err = means[inverse] - movs[held]
             total_sq[xi, yi] += float(err @ err)
             fallen += fell
-            exact_rows += exact
-    return total_sq, fallen, exact_rows
+    return total_sq, fallen
 
 
 def select_aniso_cv(
@@ -340,7 +338,7 @@ def select_aniso_cv(
     xs = bandwidth_grid(DEFAULT_SIGMA_X_GRID if sigma_x_grid is None else sigma_x_grid, "sigma_x")
     ys = bandwidth_grid(DEFAULT_SIGMA_Y_GRID if sigma_y_grid is None else sigma_y_grid, "sigma_y")
     n = len(train)
-    total_sq, fallen, _ = _aniso_cv(train, xs, ys, folds, seed)
+    total_sq, fallen = _aniso_cv(train, xs, ys, folds, seed)
     warn_fallbacks("kernel", Counter({_OVERFLOW: fallen}), n * len(xs) * len(ys))
     surface = [(sx, sy, math.sqrt(t / n)) for (sx, sy), t in zip(product(xs, ys), total_sq.flat)]
     return min_ties_to_larger(surface)[:2], surface

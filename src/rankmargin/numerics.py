@@ -6,19 +6,28 @@ The smoothing spline here is the natural cubic kind: it minimizes
     sum_i w_i (y_i - f(x_i))^2 + lam * integral f''(t)^2 dt
 
 over twice continuously differentiable functions. The minimizer is a natural
-cubic spline with knots at the distinct data sites. With value vector f and
-interior second derivatives g the two are linked by Q' f = R g (Q and R are
-the standard tridiagonal knot-spacing matrices), the roughness penalty is
-f' K f with K = Q R^{-1} Q', and the fitted values solve
+cubic spline with knots at the distinct data sites. Its knot values f and
+interior second derivatives gamma are linked by Q' f = R gamma, where Q'
+((m-2) x m) takes second divided differences and R ((m-2) x (m-2)) is
+tridiagonal in the knot spacings; the roughness is gamma' R gamma. The fit
+is computed in Reinsch's form (Reinsch 1967; Green & Silverman 1994, ch. 2):
+with ybar the weighted group means and W the summed weights per site,
 
-    f = (W + lam K)^{-1} W ybar
+    (R + lam Q' W^{-1} Q) gamma = Q' ybar,    f = ybar - lam W^{-1} Q gamma.
 
-on the distinct sites, where ybar holds weighted group means. Smoothness is
-parameterized by effective degrees of freedom: the trace of the smoother
-matrix S(lam) = (W + lam K)^{-1} W, which runs from m (interpolation,
-lam = 0) down to 2 (weighted linear fit, lam -> infinity). The trace is
-computed from a one-time symmetric eigendecomposition, so calibrating lam to
-a df target by bisection costs O(m) per step.
+The matrix B = R + lam Q' W^{-1} Q is pentadiagonal and positive definite.
+It is assembled from elementwise stencils and factored by banded Cholesky,
+so a fit is O(m), forms no m x m matrix and makes no BLAS matrix product:
+its bits do not depend on the BLAS thread count.
+
+Smoothness is parameterized by effective degrees of freedom: the trace of the
+smoother matrix S(lam) = I - lam W^{-1} Q B^{-1} Q', which runs from m
+(interpolation, lam = 0) down to 2 (weighted linear fit, lam -> infinity).
+Since lam Q' W^{-1} Q = B - R, the trace is 2 + tr(B^{-1} R); with R
+tridiagonal that needs only the central bands of B^{-1}, which the backward
+recursion of Hutchinson & de Hoog (1985, Numer. Math. 47:99) takes from the
+banded Cholesky factor in O(m). Calibrating lam to a df target is a
+bisection on log lam.
 """
 
 from __future__ import annotations
@@ -163,33 +172,33 @@ def evaluate_smooth(sf: SmoothFunction, x):
     return float(out[0]) if scalar else out
 
 
-def _knot_matrices(knots: np.ndarray):
-    """Build R ((m-2)x(m-2), banded SPD) and Q' ((m-2)xm) for natural splines.
+def _knot_bands(knots: np.ndarray):
+    """The knot-spacing matrices of the natural cubic spline through `knots`.
 
-    Returns (r_banded, qt) where r_banded is in scipy lower-banded storage.
+    Returns (q, r). Row j of Q' ((m-2) x m) holds q[:, j] at columns j, j+1
+    and j+2; r is the tridiagonal R ((m-2) x (m-2)) in scipy's lower-banded
+    storage.
     """
     h = np.diff(knots)
-    m = len(knots)
-    k = m - 2
-    qt = np.zeros((k, m))
-    rows = np.arange(k)
-    qt[rows, rows] = 1.0 / h[:-1]
-    qt[rows, rows + 1] = -1.0 / h[:-1] - 1.0 / h[1:]
-    qt[rows, rows + 2] = 1.0 / h[1:]
-    r_banded = np.zeros((2, k))
-    r_banded[0] = (h[:-1] + h[1:]) / 3.0
-    r_banded[1, :-1] = h[1:-1] / 6.0
-    return r_banded, qt
+    q = np.array([1.0 / h[:-1], -1.0 / h[:-1] - 1.0 / h[1:], 1.0 / h[1:]])
+    r = np.zeros((2, len(h) - 1))
+    r[0] = (h[:-1] + h[1:]) / 3.0
+    r[1, :-1] = h[1:-1] / 6.0
+    return q, r
 
 
-def _natural_second_derivatives(knots, values):
-    """Interior second derivatives of the natural spline through `values`."""
-    r_banded, qt = _knot_matrices(knots)
-    rhs = qt @ values
-    gamma_int = scipy.linalg.solveh_banded(r_banded, rhs, lower=True)
-    gamma = np.zeros(len(knots))
-    gamma[1:-1] = gamma_int
-    return gamma
+def _qt_times(q, y):
+    """Q' y along the last axis of `y` (m knot values -> m-2)."""
+    return q[0] * y[..., :-2] + q[1] * y[..., 1:-1] + q[2] * y[..., 2:]
+
+
+def _q_times(q, gamma):
+    """Q gamma along the last axis of `gamma` (m-2 -> m knot values)."""
+    out = np.zeros(gamma.shape[:-1] + (gamma.shape[-1] + 2,))
+    out[..., :-2] += q[0] * gamma
+    out[..., 1:-1] += q[1] * gamma
+    out[..., 2:] += q[2] * gamma
+    return out
 
 
 def evaluation_weights(knots: np.ndarray, xs) -> np.ndarray:
@@ -201,51 +210,31 @@ def evaluation_weights(knots: np.ndarray, xs) -> np.ndarray:
     """
     u = np.asarray(knots, dtype=float)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    m = len(u)
-    G = len(xs)
-    alpha = np.zeros((G, m))
-    beta = np.zeros((G, m - 2))
-
-    h0 = u[1] - u[0]
-    h_last = u[-1] - u[-2]
-    for row, x in enumerate(xs):
-        if x < u[0]:
-            d = x - u[0]
-            alpha[row, 0] = 1.0 - d / h0
-            alpha[row, 1] = d / h0
-            beta[row, 0] = -h0 * d / 6.0
-        elif x > u[-1]:
-            d = x - u[-1]
-            alpha[row, m - 1] = 1.0 + d / h_last
-            alpha[row, m - 2] = -d / h_last
-            beta[row, m - 3] = h_last * d / 6.0
-        else:
-            i = min(max(int(np.searchsorted(u, x, side="right") - 1), 0), m - 2)
-            h = u[i + 1] - u[i]
-            t1 = u[i + 1] - x
-            t2 = x - u[i]
-            alpha[row, i] = t1 / h
-            alpha[row, i + 1] = t2 / h
-            # gamma coefficients; boundary gammas are structurally zero
-            ci = t1**3 / (6.0 * h) - h * t1 / 6.0
-            cj = t2**3 / (6.0 * h) - h * t2 / 6.0
-            if 0 < i:
-                beta[row, i - 1] = ci
-            if i + 1 < m - 1:
-                beta[row, i] = cj
-    r_banded, qt = _knot_matrices(u)
-    # gamma = R^{-1} Q' f, so the beta part contributes beta @ R^{-1} Q'.
-    rinv_qt = scipy.linalg.solveh_banded(r_banded, qt, lower=True)
-    return alpha + beta @ rinv_qt
+    m, rows = len(u), np.arange(len(xs))
+    i = np.clip(np.searchsorted(u, xs, side="right") - 1, 0, m - 2)
+    h = u[i + 1] - u[i]
+    t1, t2 = u[i + 1] - xs, xs - u[i]
+    # beyond the boundary knots the curve is linear: the cubic terms drop
+    inside = (xs >= u[0]) & (xs <= u[-1])
+    c1, c2 = np.where(inside, t1, 0.0), np.where(inside, t2, 0.0)
+    alpha = np.zeros((len(xs), m))
+    alpha[rows, i] = t1 / h
+    alpha[rows, i + 1] = t2 / h
+    beta = np.zeros((len(xs), m))  # coefficients of the knots' second derivatives
+    beta[rows, i] = c1**3 / (6.0 * h) - h * t1 / 6.0
+    beta[rows, i + 1] = c2**3 / (6.0 * h) - h * t2 / 6.0
+    # the boundary second derivatives are 0 and the interior ones R^{-1} Q' f
+    q, r = _knot_bands(u)
+    return alpha + _q_times(q, scipy.linalg.solveh_banded(r, beta[:, 1:-1].T, lower=True).T)
 
 
 class SplineSmoother:
     """Reusable smoothing-spline operator for fixed sites and weights.
 
     Duplicated sites are pre-averaged with summed weights; zero-weight
-    observations are dropped. Construction performs the one-time
-    eigendecomposition that makes df calibration and repeated smoothing
-    (as in backfitting) cheap.
+    observations are dropped. The band matrix B of a smoothing parameter is
+    factored once and kept while that parameter is reused, as backfitting
+    does.
     """
 
     def __init__(self, x, weights=None):
@@ -275,21 +264,25 @@ class SplineSmoother:
         m = len(knots)
         self.m = m
 
-        r_banded, qt = _knot_matrices(knots)
-        self._r_banded = r_banded
-        self._qt = qt
-        rinv_qt = scipy.linalg.solveh_banded(r_banded, qt, lower=True)
-        penalty = qt.T @ rinv_qt  # K = Q R^{-1} Q'
-        inv_sqrt_w = 1.0 / np.sqrt(self.knot_weights)
-        c = penalty * inv_sqrt_w[:, None] * inv_sqrt_w[None, :]
-        eigvals, eigvecs = np.linalg.eigh((c + c.T) / 2.0)
-        # K has exactly two zero eigenvalues (constants and linears); scrub
-        # the numerical dust so the lam -> inf limit is reachable.
-        eigvals = np.where(eigvals > eigvals[-1] * 1e-12, eigvals, 0.0)
-        self._eigvals = eigvals
-        self._eigvecs = eigvecs
-        self._inv_sqrt_w = inv_sqrt_w
+        self._q, self._r = _knot_bands(knots)
+        a, b, c = self._q
+        v = 1.0 / self.knot_weights
+        # P = Q' W^{-1} Q, pentadiagonal, in lower-banded storage
+        self._p = np.zeros((3, m - 2))
+        self._p[0] = a * a * v[:-2] + b * b * v[1:-1] + c * c * v[2:]
+        self._p[1, :-1] = b[:-1] * a[1:] * v[1:-2] + c[:-1] * b[1:] * v[2:-1]
+        self._p[2, :-2] = c[:-2] * a[2:] * v[2:-2]
+        self._factor_lam = self._factor = None
         self._scale3 = float(knots[-1] - knots[0]) ** 3
+
+    def _cholesky(self, lam: float) -> np.ndarray:
+        """Lower banded Cholesky factor of B = R + lam P, for finite `lam`."""
+        if lam != self._factor_lam:
+            band = lam * self._p
+            band[:2] += self._r
+            self._factor = scipy.linalg.cholesky_banded(band, lower=True)
+            self._factor_lam = lam
+        return self._factor
 
     def average(self, y) -> np.ndarray:
         """Weighted group means of a full-length response vector."""
@@ -303,7 +296,20 @@ class SplineSmoother:
             return float(self.m)
         if math.isinf(lam):
             return 2.0
-        return float(np.sum(1.0 / (1.0 + lam * self._eigvals)))
+        # tr S = 2 + tr(B^{-1} R), with R tridiagonal. For B = L L', the
+        # product L' B^{-1} = L^{-1} is lower triangular, so row j of B^{-1}
+        # on and right of the diagonal follows from rows j + 1 and j + 2.
+        d, l1, l2 = self._cholesky(lam)
+        inv_d2, a, b = (1.0 / (d * d)).tolist(), (l1 / d).tolist(), (l2 / d).tolist()
+        r0, r1 = self._r.tolist()
+        p0 = p1 = pp0 = total = 0.0  # B^{-1} at (j+1, j+1), (j+1, j+2), (j+2, j+2)
+        for j in reversed(range(self.m - 2)):
+            s2 = -(a[j] * p1 + b[j] * pp0)
+            s1 = -(a[j] * p0 + b[j] * p1)
+            s0 = inv_d2[j] - a[j] * s1 - b[j] * s2
+            total += r0[j] * s0 + 2.0 * r1[j] * s1
+            pp0, p0, p1 = p0, s0, s1
+        return 2.0 + total
 
     def lambda_for_df(self, target_df: float) -> float:
         """Smoothing parameter whose smoother trace matches `target_df`.
@@ -344,34 +350,31 @@ class SplineSmoother:
                 break
         return math.exp(0.5 * (log_lo + log_hi))
 
-    def _fitted_knot_values(self, ybar: np.ndarray, lam: float) -> np.ndarray:
-        if lam == 0.0:
-            return ybar.copy()
+    def fitted_values(self, ybar: np.ndarray, lam: float) -> np.ndarray:
+        """S(lam) ybar: the fitted knot values for group means `ybar`, along
+        its last axis (one row per response for a 2-D `ybar`)."""
+        return self._solve(ybar, lam)[0]
+
+    def _solve(self, ybar: np.ndarray, lam: float):
+        """Fitted knot values and second derivatives (0 at the boundary knots)."""
+        gamma = np.zeros(ybar.shape)
         if math.isinf(lam):
-            return self._linear_fit(ybar)
-        z = self._eigvecs.T @ (np.sqrt(self.knot_weights) * ybar)
-        z /= 1.0 + lam * self._eigvals
-        return self._inv_sqrt_w * (self._eigvecs @ z)
+            return self._linear_fit(ybar), gamma
+        rhs = _qt_times(self._q, ybar)
+        gamma[..., 1:-1] = scipy.linalg.cho_solve_banded((self._cholesky(lam), True), rhs.T).T
+        return ybar - lam * _q_times(self._q, gamma[..., 1:-1]) / self.knot_weights, gamma
 
     def _linear_fit(self, ybar: np.ndarray) -> np.ndarray:
         w = self.knot_weights
-        u = self.knots
         wsum = w.sum()
-        ubar = float(w @ u) / wsum
-        ybar_w = float(w @ ybar) / wsum
-        du = u - ubar
-        sxx = float(w @ (du * du))
-        slope = float(w @ (du * (ybar - ybar_w))) / sxx
+        du = self.knots - np.sum(w * self.knots) / wsum
+        ybar_w = np.sum(w * ybar, axis=-1, keepdims=True) / wsum
+        slope = np.sum(w * du * (ybar - ybar_w), axis=-1, keepdims=True) / np.sum(w * du * du)
         return ybar_w + slope * du
 
     def smooth(self, y, lam: float) -> SmoothFunction:
         """Fit at a fixed smoothing parameter; `y` has one entry per site."""
-        ybar = self.average(y)
-        values = self._fitted_knot_values(ybar, lam)
-        if math.isinf(lam):
-            gamma = np.zeros(self.m)
-        else:
-            gamma = _natural_second_derivatives(self.knots, values)
+        values, gamma = self._solve(self.average(y), lam)
         return SmoothFunction(
             knots=self.knots.copy(),
             values=values,
@@ -383,19 +386,6 @@ class SplineSmoother:
 
     def fit(self, y, target_df: float) -> SmoothFunction:
         return self.smooth(y, self.lambda_for_df(target_df))
-
-    def smoother_matrix(self, lam: float) -> np.ndarray:
-        """Dense m x m matrix mapping group means to fitted knot values."""
-        if lam == 0.0:
-            return np.eye(self.m)
-        if math.isinf(lam):
-            w = self.knot_weights
-            X = np.column_stack([np.ones(self.m), self.knots])
-            xtw = X.T * w[None, :]
-            return X @ np.linalg.solve(xtw @ X, xtw)
-        scaled = self._eigvecs / (1.0 + lam * self._eigvals)[None, :]
-        core = scaled @ self._eigvecs.T
-        return (self._inv_sqrt_w[:, None] * core) * np.sqrt(self.knot_weights)[None, :]
 
 
 def fit_smoothing_spline(x, y, weights=None, target_df: float = 4.0) -> SmoothFunction:

@@ -194,6 +194,61 @@ def natural_spline_eval_reference(knots, values, points):
     return out
 
 
+def smoothing_spline_longdouble(x, ybar, weights, lam):
+    """Fitted values and smoother trace of the natural cubic smoothing spline
+    at a fixed lam, in long double.
+
+    x must be strictly increasing, with ybar the group means and weights the
+    summed weights. Reinsch's band system (R + lam Q'W^-1 Q) gamma = Q' ybar
+    is assembled entry by entry and solved by a banded LDL' elimination;
+    f = ybar - lam W^-1 Q gamma. The trace is m - lam * sum_i (W^-1 Q B^-1
+    Q')_ii, one solve per unit vector. lam = inf gives the weighted line.
+    Returns (fitted values, trace) as long doubles.
+    """
+    ld = np.longdouble
+    u, yb, w = (np.asarray(v, dtype=float).astype(ld) for v in (x, ybar, weights))
+    m = len(u)
+    if math.isinf(lam):
+        ubar = (w * u).sum() / w.sum()
+        ymean = (w * yb).sum() / w.sum()
+        slope = (w * (u - ubar) * (yb - ymean)).sum() / (w * (u - ubar) ** 2).sum()
+        return ymean + slope * (u - ubar), ld(2)
+    lam = ld(lam)
+    k = m - 2
+    h = [u[i + 1] - u[i] for i in range(m - 1)]
+    qt = np.zeros((k, m), dtype=ld)
+    band = np.zeros((k, k), dtype=ld)
+    for j in range(k):
+        qt[j, j], qt[j, j + 1], qt[j, j + 2] = 1 / h[j], -1 / h[j] - 1 / h[j + 1], 1 / h[j + 1]
+        band[j, j] = (h[j] + h[j + 1]) / 3
+        if j + 1 < k:
+            band[j, j + 1] = band[j + 1, j] = h[j + 1] / 6
+    for i in range(m):  # lam * Q' W^-1 Q, column i of Q' at a time
+        rows = [j for j in (i - 2, i - 1, i) if 0 <= j < k]
+        for a in rows:
+            for b in rows:
+                band[a, b] += lam * qt[a, i] * qt[b, i] / w[i]
+    lower = np.zeros((k, k), dtype=ld)  # unit lower triangle of band = L D L'
+    d = np.zeros(k, dtype=ld)
+    for j in range(k):
+        near = range(max(0, j - 2), j)
+        d[j] = band[j, j] - sum(lower[j, t] ** 2 * d[t] for t in near)
+        for i in range(j + 1, min(k, j + 3)):
+            lower[i, j] = (band[i, j] - sum(lower[i, t] * lower[j, t] * d[t] for t in near)) / d[j]
+    rhs = np.column_stack([qt @ yb, qt])  # Q' ybar, then Q' e_i for every i
+    for j in range(k):
+        for t in range(max(0, j - 2), j):
+            rhs[j] -= lower[j, t] * rhs[t]
+    rhs /= d[:, None]
+    for j in reversed(range(k)):
+        for t in range(j + 1, min(k, j + 3)):
+            rhs[j] -= lower[t, j] * rhs[t]
+    gamma, binv_qt = rhs[:, 0], rhs[:, 1:]
+    fitted = yb - lam * (qt * gamma[:, None]).sum(axis=0) / w
+    trace = m - lam * ((qt * binv_qt).sum(axis=0) / w).sum()
+    return fitted, trace
+
+
 # ---------------------------------------------------------------------------
 # dense linear algebra
 

@@ -488,15 +488,29 @@ def test_aniso_cv_matches_per_fold_direct_sums(case, data):
         assert got == pytest.approx(math.sqrt(total / n), rel=1e-12, abs=1e-12)
 
 
-def test_exact_path_when_the_axis_products_underflow():
+@pytest.fixture
+def exact_rows(monkeypatch):
+    """A list that gets the number of rows of each call of the exact path."""
+    calls, direct = [], kernel._direct_means
+
+    def counted(r, *args, **kwargs):
+        calls.append(len(r))
+        return direct(r, *args, **kwargs)
+
+    monkeypatch.setattr(kernel, "_direct_means", counted)
+    return calls
+
+
+def test_exact_path_when_the_axis_products_underflow(exact_rows):
     # the nearest training sum (12) is the pair (8, 4)'s and the nearest
     # difference (0) the pair (5, 5)'s, so every product of axis factors is
     # tiny, while the nearest game, at (5, 5), weighs 1
     road, home, movs = [5, 5, 5, 8], [5, 5, 5, 4], [2.0, 5.0, 11.0, -20.0]
     for sigma in (0.0355, 0.02):  # the products are subnormal, then 0
         spec = KernelSmootherSpec(road, home, movs, sigma, sigma)
-        got, fallen, exact = kernel._predict(spec, [6.0], [5.9])
-        assert (fallen, exact) == (0, 1)
+        exact_rows.clear()
+        got, fallen = kernel._predict(spec, [6.0], [5.9])
+        assert (fallen, sum(exact_rows)) == (0, 1)
         assert got[0] == pytest.approx(6.0, rel=1e-12)
     want = oracles.kernel_predict_reference(road, home, movs, 6.0, 5.9, sigma=0.0355)
     got = predict_kernel(KernelSmootherSpec(road, home, movs, 0.0355, 0.0355), 6.0, 5.9)
@@ -504,29 +518,30 @@ def test_exact_path_when_the_axis_products_underflow():
 
 
 @pytest.mark.parametrize("sigma", [0.05, 0.2])
-def test_exact_path_for_lone_games_in_leave_one_out(sigma):
+def test_exact_path_for_lone_games_in_leave_one_out(sigma, exact_rows):
     # at sigma << 1 a lone game's own weight of 1 swamps the others, so
     # (F_S - y) / (F_N - 1) would cancel; those rows take the direct sum
     road, home = [3, 4, 3, 3, 5, 3, 6, 3, 6], [4, 4, 4, 5, 6, 4, 6, 5, 6]
     movs = [-10.0, 7.0, 12.0, 3.0, -4.0, 0.0, 9.0, -6.0, 15.0]
     data = make_dataset(road, home, movs)
-    _, fallen, exact = kernel._loo(data, [sigma])
-    assert (fallen, exact) == (0, 2)  # (4, 4) and (5, 6) are alone
+    _, fallen = kernel._loo(data, [sigma])
+    assert (fallen, sum(exact_rows)) == (0, 2)  # (4, 4) and (5, 6) are alone
     _, curve = select_sigma_loo(data, [sigma])
     want = oracles.kernel_loo_rmse_reference(road, home, movs, sigma)
     assert curve[0][1] == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 @pytest.mark.parametrize("rank_max", [60, 351])
-def test_report_season_stays_on_the_lattice(rank_max):
+def test_report_season_stays_on_the_lattice(rank_max, exact_rows):
     # the criterion-7 grids on a 6,024-game season: no row takes the direct sum
     season = generate_synthetic(6024, seed=3, rank_max=rank_max)
     train = season.subset(np.arange(4518))
-    assert kernel._loo(train, [12.0, 19.0, 30.0])[2] == 0
-    assert kernel._aniso_cv(train, [30.0, 60.0], [8.0, 16.0], folds=5, seed=0)[2] == 0
+    kernel._loo(train, [12.0, 19.0, 30.0])
+    kernel._aniso_cv(train, [30.0, 60.0], [8.0, 16.0], folds=5, seed=0)
     for sigmas in ((12.0, 12.0), (30.0, 30.0), (30.0, 8.0), (60.0, 16.0)):
         spec = KernelSmootherSpec(train.road_ranks, train.home_ranks, train.movs, *sigmas)
-        assert kernel._predict(spec, season.road_ranks, season.home_ranks)[2] == 0
+        kernel._predict(spec, season.road_ranks, season.home_ranks)
+    assert sum(exact_rows) == 0
 
 
 def _composition_queries(rank_max, rng):
@@ -553,7 +568,9 @@ def _assert_composition_free(spec, r, h):
 @pytest.mark.parametrize("small_chunks", [False, True])
 @pytest.mark.parametrize("sigmas", [(12.0, 12.0), (30.0, 8.0)])
 @pytest.mark.parametrize("rank_max", [60, 351])
-def test_prediction_does_not_depend_on_the_other_queries(rank_max, sigmas, small_chunks, monkeypatch):
+def test_prediction_does_not_depend_on_the_other_queries(
+    rank_max, sigmas, small_chunks, monkeypatch, exact_rows
+):
     # each query's prediction is the same bits alone, in the batch, in two
     # halves and in reversed order, also when the runs of one u span chunks
     if small_chunks:
@@ -561,18 +578,20 @@ def test_prediction_does_not_depend_on_the_other_queries(rank_max, sigmas, small
     train = generate_synthetic(1500, seed=17, rank_max=rank_max)
     spec = KernelSmootherSpec(train.road_ranks, train.home_ranks, train.movs, *sigmas)
     r, h = _composition_queries(rank_max, np.random.default_rng(rank_max))
-    assert kernel._predict(spec, r, h)[1:] == (0, 0)  # every row on the lattice
+    assert kernel._predict(spec, r, h)[1] == 0
+    assert sum(exact_rows) == 0  # every row on the lattice
     _assert_composition_free(spec, r, h)
 
 
 @pytest.mark.parametrize("sigmas", [(12.0, 12.0), (30.0, 8.0)])
-def test_exact_path_does_not_depend_on_the_other_queries(sigmas):
+def test_exact_path_does_not_depend_on_the_other_queries(sigmas, exact_rows):
     train = generate_synthetic(1500, seed=17, rank_max=60)
     spec = KernelSmootherSpec(train.road_ranks, train.home_ranks, train.movs, *sigmas)
     r, h = _composition_queries(60, np.random.default_rng(3))
     far = np.array([[200.0, 3.0], [-120.0, 0.5], [480.0, 481.0], [90.0, -75.0], [61.0, 300.0]])
     r, h = np.concatenate([r, far[:, 0]]), np.concatenate([h, far[:, 1]])
-    assert kernel._predict(spec, r, h)[1:] == (0, len(far))
+    assert kernel._predict(spec, r, h)[1] == 0
+    assert sum(exact_rows) == len(far)
     _assert_composition_free(spec, r, h)
 
 

@@ -15,6 +15,7 @@ from rankmargin.numerics import (
     min_ties_to_larger,
     weighted_least_squares,
 )
+from rankmargin.synth import generate_synthetic
 
 import oracles
 
@@ -228,27 +229,44 @@ class TestSplineSmoother:
         with pytest.raises(DataError):
             SplineSmoother(np.array([1.0, 2.0, 3.0, 1.0, 2.0]))
 
-    def test_smoother_matrix_matches_unit_vectors(self):
-        x, _, w = _noisy_sites(8, m=25)
-        sm = SplineSmoother(x, weights=w)
-        lam = 7.0
-        S = sm.smoother_matrix(lam)
-        m = len(x)
-        brute = np.empty((m, m))
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = 1.0
-            brute[:, j] = sm.smooth(e, lam).values
-        np.testing.assert_allclose(S, brute, atol=1e-10)
-        assert np.trace(S) == pytest.approx(sm.trace(lam), abs=1e-10)
 
-    def test_smoother_matrix_limits(self):
-        x, _, w = _noisy_sites(9, m=15)
-        sm = SplineSmoother(x, weights=w)
-        np.testing.assert_allclose(sm.smoother_matrix(0.0), np.eye(len(x)), atol=1e-10)
-        S_inf = sm.smoother_matrix(math.inf)
-        # projection onto the weighted line: idempotent
-        np.testing.assert_allclose(S_inf @ S_inf, S_inf, atol=1e-10)
+def _season_axis(m):
+    # a smoother over the home ranks of 4,518 training games at rank_max m,
+    # every rank present, and the games' margins
+    data = generate_synthetic(4518, seed=11, rank_max=m)
+    sm = SplineSmoother(data.home_ranks)
+    assert sm.m == m
+    return sm, data.movs
+
+
+def _settings(sm):
+    yield "zero", 0.0
+    yield "tiny", 1e-9 * float(sm.knots[-1] - sm.knots[0]) ** 3
+    for df in (2.2, 4.0, 10.0):
+        if df < sm.m:
+            yield f"df{df}", sm.lambda_for_df(df)
+    yield "inf", math.inf
+
+
+# Q'W^-1 Q is formed in double, and at large lam its rounding moves the fit
+# by up to eps times its condition number, which grows like m^4: 1.4e-9 was
+# measured at m = 351, df 2.2, and at most 1.9e-11 elsewhere
+_FIT_RTOL = {(351, "df2.2"): 5e-9}
+_TRACE_ATOL = 5e-9  # measured at most 1.6e-9 (m = 351, df 2.2)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is not extended")
+@pytest.mark.parametrize("m", [5, 60, 351])
+def test_fit_and_trace_match_long_double_reference(m):
+    sm, movs = _season_axis(m)
+    ybar = sm.average(movs)
+    for name, lam in _settings(sm):
+        want, want_trace = oracles.smoothing_spline_longdouble(sm.knots, ybar, sm.knot_weights, lam)
+        want = want.astype(float)
+        got = sm.smooth(movs, lam).values
+        err = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+        assert err <= _FIT_RTOL.get((m, name), 1e-10), (name, lam, err)
+        assert abs(sm.trace(lam) - float(want_trace)) <= _TRACE_ATOL, (name, lam)
 
 
 class TestEvaluation:
@@ -281,6 +299,11 @@ class TestEvaluation:
         pts = np.concatenate([np.linspace(-20.0, 130.0, 61), x[3:9]])
         A = evaluation_weights(f.knots, pts)
         np.testing.assert_allclose(A @ f.values, evaluate_smooth(f, pts), atol=1e-10)
+        # column j is the natural interpolating spline through the j-th unit vector
+        unit = np.column_stack([
+            oracles.natural_spline_eval_reference(f.knots, e, pts) for e in np.eye(len(f.knots))
+        ])
+        np.testing.assert_allclose(A, unit, atol=1e-12)
         # constants are natural splines, so rows sum to one
         np.testing.assert_allclose(A.sum(axis=1), np.ones(len(pts)), atol=1e-10)
 
