@@ -11,11 +11,9 @@ from .additive import AdditiveFit, component_band, fit_additive, predict_additiv
 from .data import (
     CUSTOMARY_MAX_RANK,
     Dataset,
-    RotatedPoint,
     SplitSpec,
     fold_assignments,
     parse_games,
-    rotate,
     rotate_arrays,
     split,
     write_games,
@@ -63,7 +61,6 @@ from .numerics import (
     evaluate_smooth,
     evaluation_weights,
     f_cdf,
-    fit_smoothing_spline,
     weighted_least_squares,
 )
 from .quadratic import (
@@ -100,7 +97,6 @@ __all__ = [
     "RankDeficientError",
     "RankMarginError",
     "RankRangeWarning",
-    "RotatedPoint",
     "RowParseError",
     "SmoothFunction",
     "SplineSmoother",
@@ -115,7 +111,6 @@ __all__ = [
     "fit_additive",
     "fit_loess",
     "fit_quadratic",
-    "fit_smoothing_spline",
     "fold_assignments",
     "generate_synthetic",
     "isotropic_smoother",
@@ -132,7 +127,6 @@ __all__ = [
     "predict_quadratic_arrays",
     "pure_error",
     "rmse",
-    "rotate",
     "rotate_arrays",
     "select_aniso_cv",
     "select_sigma_loo",

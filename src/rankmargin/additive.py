@@ -24,6 +24,9 @@ from .errors import DataError, NotConvergedError, ParameterError
 from .numerics import SmoothFunction, SplineSmoother, evaluate_smooth, evaluation_weights
 
 _MIN_GAMES = 10
+# convergence: see fit_additive
+_TOLERANCE = 1e-6
+_MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -52,27 +55,18 @@ def _centered(sf: SmoothFunction, shift: float) -> SmoothFunction:
     return replace(sf, values=sf.values - shift)
 
 
-def fit_additive(
-    train: Dataset,
-    df_per_term: float = 4.0,
-    tolerance: float = 1e-6,
-    max_iterations: int = 100,
-) -> AdditiveFit:
+def fit_additive(train: Dataset, df_per_term: float = 4.0) -> AdditiveFit:
     """Backfit the two-component additive model.
 
     Requires at least 10 games and at least 4 distinct ranks on each axis.
     Convergence: the largest absolute change in fitted values over one sweep
-    is at most `tolerance` times the response scale (interquartile range of
-    the margins). A fit that exhausts max_iterations is returned with
-    converged=False rather than raised.
+    is at most `_TOLERANCE` times the response scale (interquartile range
+    of the margins). A fit still moving after `_MAX_ITERATIONS` sweeps is
+    returned with converged=False rather than raised.
     """
     n = len(train)
     if n < _MIN_GAMES:
         raise DataError(f"need at least {_MIN_GAMES} games to backfit, got {n}")
-    if tolerance <= 0:
-        raise ParameterError(f"tolerance must be positive, got {tolerance}")
-    if max_iterations < 1:
-        raise ParameterError(f"max_iterations must be >= 1, got {max_iterations}")
     y = train.movs
     smoother_r = SplineSmoother(train.road_ranks)
     smoother_h = SplineSmoother(train.home_ranks)
@@ -87,7 +81,7 @@ def fit_additive(
     fitted_prev = np.full(n, mu)
     converged = False
     iterations_used = 0
-    for iterations_used in range(1, max_iterations + 1):
+    for iterations_used in range(1, _MAX_ITERATIONS + 1):
         sf_r = smoother_r.smooth(y - mu - fh_at_train, lam_r)
         fr_at_train = sf_r.values[smoother_r.group_index]
         shift_r = float(fr_at_train.mean())
@@ -103,7 +97,7 @@ def fit_additive(
         fitted = mu + fr_at_train + fh_at_train
         delta = float(np.max(np.abs(fitted - fitted_prev)))
         fitted_prev = fitted
-        if delta <= tolerance * scale:
+        if delta <= _TOLERANCE * scale:
             converged = True
             break
 

@@ -15,7 +15,6 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,28 +46,15 @@ _SIN45 = math.sin(math.pi / 4.0)
 _COS45 = math.cos(math.pi / 4.0)
 
 
-class RotatedPoint(NamedTuple):
-    """Coordinates of a rank pair after the 45 degree axis rotation."""
-
-    x: float
-    y: float
-
-
-def rotate(road_rank: float, home_rank: float) -> RotatedPoint:
-    """Rotate a (road_rank, home_rank) pair 45 degrees counter-clockwise.
+def rotate_arrays(road_ranks, home_ranks):
+    """Rotate (road_rank, home_rank) pairs 45 degrees counter-clockwise;
+    returns (x, y) numpy arrays.
 
     The rotated x axis runs along increasing rank sum (worse pairings), the
     rotated y axis along the rank difference. Rotation preserves Euclidean
     distances, so isotropic smoothing is unaffected; the point of the new
     frame is to let anisotropic smoothers stretch along x and y separately.
     """
-    x = road_rank * _SIN45 + home_rank * _COS45
-    y = road_rank * _COS45 - home_rank * _SIN45
-    return RotatedPoint(x, y)
-
-
-def rotate_arrays(road_ranks, home_ranks):
-    """Vector form of :func:`rotate`; returns (x, y) numpy arrays."""
     r = np.asarray(road_ranks, dtype=float)
     h = np.asarray(home_ranks, dtype=float)
     return r * _SIN45 + h * _COS45, r * _COS45 - h * _SIN45

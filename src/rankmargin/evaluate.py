@@ -11,7 +11,6 @@ Conventions used throughout (and stated in the report header):
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -185,13 +184,6 @@ class BenchmarkReport:
             training_mean=row(d["training_mean"]),
             validation_mean=row(d["validation_mean"]),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BenchmarkReport":
-        return cls.from_dict(json.loads(text))
 
     def to_text(self) -> str:
         header_notes = [

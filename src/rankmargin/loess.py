@@ -8,8 +8,8 @@ rank distance, weighted by the tricube kernel
 
 where d_max is the distance to the q-th nearest point. The neighborhood is
 open: points at d_max, including ties, get weight zero. Each rank axis is
-divided by its training standard deviation before distances are taken
-(disable with standardize=False to use raw ranks).
+divided by its scale before distances are taken: `fit_loess` uses the
+training standard deviation (1 for a constant axis).
 
 Each distinct query pair is predicted once and its result copied to every
 query at that pair (ranks are integers, so queries repeat). The distinct
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, distinct_pairs, fold_splits
+from .data import Dataset, distinct_pairs, fold_splits, training_arrays
 from .errors import ParameterError, RankDeficientError, warn_fallbacks
 from .numerics import min_ties_to_larger, weighted_least_squares
 
@@ -74,7 +74,11 @@ _COLLINEAR = "collinear neighborhood (weighted mean)"
 
 @dataclass(frozen=True)
 class LoessFit:
-    """Lazy smoother: holds the training data, all work happens at predict."""
+    """Lazy smoother: holds the training data, all work happens at predict.
+
+    Construction validates the arrays (see `data.training_arrays`), the span
+    (in (0, 1], keeping at least 3 points) and the two predictor scales
+    (finite and > 0)."""
 
     road_ranks: np.ndarray
     home_ranks: np.ndarray
@@ -82,33 +86,36 @@ class LoessFit:
     span: float
     predictor_scales: tuple[float, float]
 
+    def __post_init__(self):
+        road, home, movs = training_arrays(self.road_ranks, self.home_ranks, self.movs)
+        span = float(self.span)
+        _check_span(span, len(movs))
+        scales = tuple(float(s) for s in self.predictor_scales)
+        if len(scales) != 2 or not all(math.isfinite(s) and s > 0.0 for s in scales):
+            raise ParameterError(f"predictor_scales must be two finite numbers > 0, got {scales}")
+        # frozen: store the coerced values past the dataclass's __setattr__
+        vars(self).update(road_ranks=road, home_ranks=home, movs=movs,
+                          span=span, predictor_scales=scales)
+
     @property
     def neighborhood_size(self) -> int:
         return math.ceil(self.span * len(self.movs))
 
 
-def fit_loess(train: Dataset, span: float = 0.3, standardize: bool = True) -> LoessFit:
-    """Bind training data and a span; validates that neighborhoods are usable."""
+def _check_span(span: float, n: int) -> None:
+    """Raise ParameterError unless `span` is in (0, 1] and keeps at least 3
+    of `n` points, the fewest a local plane needs."""
     if not 0.0 < span <= 1.0:
         raise ParameterError(f"span must be in (0, 1], got {span}")
-    n = len(train)
-    q = math.ceil(span * n)
-    if q < 3:
-        raise ParameterError(
-            f"span {span} keeps only {q} of {n} points; a local plane needs at least 3"
-        )
-    if standardize:
-        sr = float(train.road_ranks.std()) or 1.0
-        sh = float(train.home_ranks.std()) or 1.0
-    else:
-        sr = sh = 1.0
-    return LoessFit(
-        road_ranks=train.road_ranks,
-        home_ranks=train.home_ranks,
-        movs=train.movs,
-        span=span,
-        predictor_scales=(sr, sh),
-    )
+    if math.ceil(span * n) < 3:
+        raise ParameterError(f"span {span} keeps fewer than 3 of {n} points")
+
+
+def fit_loess(train: Dataset, span: float = 0.3) -> LoessFit:
+    """Bind training data and a span, with each rank axis scaled by its
+    standard deviation."""
+    scales = (float(train.road_ranks.std()) or 1.0, float(train.home_ranks.std()) or 1.0)
+    return LoessFit(train.road_ranks, train.home_ranks, train.movs, span, scales)
 
 
 def predict_loess(fit: LoessFit, road_rank: float, home_rank: float) -> float:
@@ -306,7 +313,6 @@ def select_span_cv(
     span_grid=None,
     folds: int = 10,
     seed: int = 0,
-    standardize: bool = True,
 ):
     """Choose the span by k-fold cross-validation.
 
@@ -320,21 +326,15 @@ def select_span_cv(
     grid = [float(s) for s in (DEFAULT_SPAN_GRID if span_grid is None else span_grid)]
     if not grid:
         raise ParameterError("span grid is empty")
-    for s in grid:
-        if not 0.0 < s <= 1.0:
-            raise ParameterError(f"span must be in (0, 1], got {s}")
     n = len(train)
     splits = fold_splits(n, folds, seed)
     smallest_train = min(len(tr) for tr, _ in splits)
     for s in grid:
-        if math.ceil(s * smallest_train) < 3:
-            raise ParameterError(
-                f"span {s} keeps fewer than 3 points in a fold of {smallest_train} games"
-            )
+        _check_span(s, smallest_train)
     total_sq = [0.0] * len(grid)
     fallbacks = Counter()
     for tr_idx, held_out in splits:
-        part = fit_loess(train.subset(tr_idx), grid[0], standardize=standardize)
+        part = fit_loess(train.subset(tr_idx), grid[0])
         preds, dropped = _predict(
             part,
             train.road_ranks[held_out],

@@ -34,7 +34,7 @@ from typing import Any, Callable, Mapping, NamedTuple
 import numpy as np
 
 from .additive import AdditiveFit, fit_additive, predict_additive_arrays
-from .data import Dataset, training_arrays
+from .data import Dataset
 from .errors import ParameterError
 from .evaluate import ModelSpec
 from .kernel import KernelSmootherSpec, anisotropic_smoother, isotropic_smoother, predict_kernel_arrays
@@ -126,21 +126,6 @@ def _games_to_payload(fit) -> dict:
     }
 
 
-def _loess_from_payload(payload: dict) -> LoessFit:
-    road, home, movs = training_arrays(
-        payload["road_ranks"], payload["home_ranks"], payload["movs"]
-    )
-    span = float(payload["span"])
-    if not 0.0 < span <= 1.0:
-        raise ParameterError(f"span must be in (0, 1], got {span}")
-    if math.ceil(span * len(movs)) < 3:
-        raise ParameterError(f"span {span} keeps fewer than 3 of {len(movs)} points")
-    scales = tuple(float(s) for s in payload["predictor_scales"])
-    if len(scales) != 2 or not all(math.isfinite(s) and s > 0.0 for s in scales):
-        raise ParameterError(f"predictor_scales must be two finite numbers > 0, got {scales}")
-    return LoessFit(road, home, movs, span=span, predictor_scales=scales)
-
-
 def _kernel_from_payload(payload: dict, sigma_x: str, sigma_y: str) -> KernelSmootherSpec:
     # the constructor checks the arrays and the bandwidths
     games = (payload["road_ranks"], payload["home_ranks"], payload["movs"])
@@ -165,7 +150,9 @@ KINDS: dict[str, Kind] = {row.name: row for row in (
          lambda f, r, h: predict_loess_arrays(f, r, h),
          lambda f: {"span": f.span, "predictor_scales": list(f.predictor_scales),
                     **_games_to_payload(f)},
-         _loess_from_payload),
+         # the constructor checks the arrays, the span and the scales
+         lambda d: LoessFit(d["road_ranks"], d["home_ranks"], d["movs"],
+                            d["span"], d["predictor_scales"])),
     Kind("kernel-iso", "Isotropic kernel", ("sigma",),
          lambda train, p: isotropic_smoother(train, p["sigma"]),
          lambda f, r, h: predict_kernel_arrays(f, r, h),

@@ -134,9 +134,6 @@ class SmoothFunction:
     effective_df: float
     knot_weights: np.ndarray
 
-    def __call__(self, x):
-        return evaluate_smooth(self, x)
-
 
 def evaluate_smooth(sf: SmoothFunction, x):
     """Evaluate a SmoothFunction at scalar or array `x`."""
@@ -231,8 +228,8 @@ def evaluation_weights(knots: np.ndarray, xs) -> np.ndarray:
 class SplineSmoother:
     """Reusable smoothing-spline operator for fixed sites and weights.
 
-    Duplicated sites are pre-averaged with summed weights; zero-weight
-    observations are dropped. The band matrix B of a smoothing parameter is
+    Duplicated sites are pre-averaged with summed weights; every weight
+    must be finite and > 0. The band matrix B of a smoothing parameter is
     factored once and kept while that parameter is reused, as backfitting
     does.
     """
@@ -247,16 +244,11 @@ class SplineSmoother:
             w = np.asarray(weights, dtype=float)
             if w.shape != x.shape:
                 raise ParameterError("weights must match x in length")
-            if np.any(w < 0):
-                raise ParameterError("weights must be nonnegative")
-        keep = w > 0
-        x, w = x[keep], w[keep]
-        self._keep = keep
+            if not (np.all(w > 0.0) and np.isfinite(w).all()):
+                raise ParameterError("weights must be finite and > 0")
         knots, inverse = np.unique(x, return_inverse=True)
         if len(knots) < 4:
-            raise DataError(
-                f"need at least 4 distinct x values with positive weight, got {len(knots)}"
-            )
+            raise DataError(f"need at least 4 distinct x values, got {len(knots)}")
         self.knots = knots
         self.group_index = inverse
         self.knot_weights = np.bincount(inverse, weights=w, minlength=len(knots))
@@ -286,7 +278,7 @@ class SplineSmoother:
 
     def average(self, y) -> np.ndarray:
         """Weighted group means of a full-length response vector."""
-        y = np.asarray(y, dtype=float)[self._keep]
+        y = np.asarray(y, dtype=float)
         sums = np.bincount(self.group_index, weights=self._point_weights * y, minlength=self.m)
         return sums / self.knot_weights
 
@@ -383,28 +375,6 @@ class SplineSmoother:
             effective_df=self.trace(lam),
             knot_weights=self.knot_weights.copy(),
         )
-
-    def fit(self, y, target_df: float) -> SmoothFunction:
-        return self.smooth(y, self.lambda_for_df(target_df))
-
-
-def fit_smoothing_spline(x, y, weights=None, target_df: float = 4.0) -> SmoothFunction:
-    """Fit a natural cubic smoothing spline with a degrees-of-freedom target.
-
-    Args:
-        x: sites (duplicates allowed; they are pre-averaged with summed
-            weights). At least 4 distinct values required.
-        y: responses, same length as x.
-        weights: optional nonnegative fit weights (default all ones).
-        target_df: desired trace of the smoother matrix, between 2 (linear
-            fit) and the number of distinct sites (interpolation).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ParameterError("x and y must be 1-D arrays of equal length")
-    smoother = SplineSmoother(x, weights)
-    return smoother.fit(y, target_df)
 
 
 def f_cdf(value: float, df1: float, df2: float) -> float:

@@ -5,9 +5,9 @@ The model is
     mov = beta0 + beta_r * road + beta_h * home
           + beta_rr * road^2 + beta_hh * home^2 + noise
 
-with no interaction term by default (it buys nothing on ranking data of this
-shape; a flag re-enables it for comparison). Fitting centers and scales the
-columns internally, then reports coefficients on the original scale.
+with no interaction term (it buys nothing on ranking data of this shape).
+Fitting centers and scales the columns internally, then reports
+coefficients on the original scale.
 """
 
 from __future__ import annotations
@@ -34,10 +34,9 @@ class QuadraticFit:
     sigma_hat: float
     n_train: int
     hat_diagonal: np.ndarray | None = None
-    beta_rh: float = 0.0
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "beta0": self.beta0,
             "beta_r": self.beta_r,
             "beta_h": self.beta_h,
@@ -46,30 +45,22 @@ class QuadraticFit:
             "sigma_hat": self.sigma_hat,
             "n_train": self.n_train,
         }
-        if self.beta_rh != 0.0:
-            out["beta_rh"] = self.beta_rh
-        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuadraticFit":
-        """Inverse of `to_dict`; raises ParameterError on a non-finite value."""
+        """Inverse of `to_dict`; raises ParameterError on a non-finite value,
+        or on an interaction term, which this model does not have."""
+        if "beta_rh" in d:
+            raise ParameterError("the model has no interaction term, got beta_rh")
         keys = ("beta0", "beta_r", "beta_h", "beta_rr", "beta_hh", "sigma_hat")
         values = {key: float(d[key]) for key in keys}
-        values["beta_rh"] = float(d.get("beta_rh", 0.0))
         bad = [key for key, v in values.items() if not math.isfinite(v)]
         if bad:
             raise ParameterError(f"coefficients must be finite, got non-finite {', '.join(bad)}")
         return cls(n_train=int(d["n_train"]), **values)
 
 
-def _design_columns(r: np.ndarray, h: np.ndarray, include_interaction: bool):
-    cols = [r, h, r * r, h * h]
-    if include_interaction:
-        cols.append(r * h)
-    return cols
-
-
-def fit_quadratic(train: Dataset, include_interaction: bool = False) -> QuadraticFit:
+def fit_quadratic(train: Dataset) -> QuadraticFit:
     """Fit the quadratic MOV model by (unit-weight) least squares.
 
     Requires at least 6 games. Raises RankDeficientError when the games
@@ -81,7 +72,7 @@ def fit_quadratic(train: Dataset, include_interaction: bool = False) -> Quadrati
     r = train.road_ranks
     h = train.home_ranks
     y = train.movs
-    cols = _design_columns(r, h, include_interaction)
+    cols = [r, h, r * r, h * h]
     means = [float(c.mean()) for c in cols]
     scales = [float(c.std()) or 1.0 for c in cols]
     design = np.column_stack(
@@ -99,7 +90,6 @@ def fit_quadratic(train: Dataset, include_interaction: bool = False) -> Quadrati
         beta_h=float(betas[1]),
         beta_rr=float(betas[2]),
         beta_hh=float(betas[3]),
-        beta_rh=float(betas[4]) if include_interaction else 0.0,
         sigma_hat=sigma_hat,
         n_train=n,
         hat_diagonal=sol.hat_diagonal,
@@ -121,7 +111,6 @@ def predict_quadratic_arrays(fit: QuadraticFit, road_ranks, home_ranks) -> np.nd
         + fit.beta_h * h
         + fit.beta_rr * r * r
         + fit.beta_hh * h * h
-        + fit.beta_rh * r * h
     )
 
 

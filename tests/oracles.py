@@ -32,7 +32,7 @@ def rotate_reference(road_rank: float, home_rank: float) -> tuple[float, float]:
 
 
 def loess_predict_reference(
-    road, home, movs, span: float, query_road: float, query_home: float, standardize=True
+    road, home, movs, span: float, query_road: float, query_home: float
 ):
     """Brute-force local linear prediction.
 
@@ -42,11 +42,8 @@ def loess_predict_reference(
     as the library (documented fallbacks) but through separate code.
     """
     n = len(movs)
-    if standardize:
-        sr = pstdev(road) or 1.0
-        sh = pstdev(home) or 1.0
-    else:
-        sr = sh = 1.0
+    sr = pstdev(road) or 1.0
+    sh = pstdev(home) or 1.0
     q = math.ceil(span * n)
     dists = [
         math.hypot((road[i] - query_road) / sr, (home[i] - query_home) / sh) for i in range(n)

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from rankmargin import additive
 from rankmargin.additive import (
     component_band,
     fit_additive,
@@ -14,7 +15,7 @@ from rankmargin.additive import (
 from rankmargin.data import SplitSpec, split
 from rankmargin.errors import DataError, NotConvergedError, ParameterError
 from rankmargin.evaluate import rmse
-from rankmargin.numerics import SplineSmoother, evaluation_weights
+from rankmargin.numerics import SplineSmoother, evaluate_smooth, evaluation_weights
 from rankmargin.quadratic import fit_quadratic, predict_quadratic_arrays
 from rankmargin.synth import generate_synthetic
 from util import make_dataset
@@ -49,8 +50,8 @@ def test_components_average_to_zero():
     data = generate_synthetic(700, seed=1, rank_max=60)
     fit = fit_additive(data)
     scale = float(np.abs(data.movs).max())
-    fr = fit.f_road(data.road_ranks)
-    fh = fit.f_home(data.home_ranks)
+    fr = evaluate_smooth(fit.f_road, data.road_ranks)
+    fh = evaluate_smooth(fit.f_home, data.home_ranks)
     assert abs(float(fr.mean())) <= 1e-6 * scale
     assert abs(float(fh.mean())) <= 1e-6 * scale
 
@@ -60,11 +61,11 @@ def test_prediction_decomposition():
     fit = fit_additive(data)
     r, h = 7.0, 23.0
     direct = predict_additive(fit, r, h)
-    parts = fit.mu + fit.f_road(np.array([r]))[0] + fit.f_home(np.array([h]))[0]
+    parts = fit.mu + evaluate_smooth(fit.f_road, r) + evaluate_smooth(fit.f_home, h)
     assert direct == pytest.approx(parts, abs=1e-12)
     # at a training knot the component equals its stored value exactly
     k = fit.f_road.knots[3]
-    assert fit.f_road(np.array([k]))[0] == fit.f_road.values[3]
+    assert evaluate_smooth(fit.f_road, k) == fit.f_road.values[3]
 
 
 def test_plane_data_matches_ols_plane():
@@ -100,13 +101,14 @@ def test_extrapolation_matches_spline_oracle():
     h0 = 25.0
     for x, expect in zip(outside, ref):
         pred = predict_additive(fit, x, h0)
-        fh = fit.f_home(np.array([h0]))[0]
+        fh = evaluate_smooth(fit.f_home, h0)
         assert pred - fit.mu - fh == pytest.approx(expect, abs=1e-8)
 
 
-def test_non_convergence_flag_and_band_refusal():
+def test_non_convergence_flag_and_band_refusal(monkeypatch):
     data = generate_synthetic(400, seed=4, rank_max=40)
-    fit = fit_additive(data, tolerance=1e-14, max_iterations=1)
+    monkeypatch.setattr(additive, "_MAX_ITERATIONS", 1)
+    fit = fit_additive(data)
     assert not fit.converged
     assert fit.iterations_used == 1
     with pytest.raises(NotConvergedError):
@@ -126,10 +128,6 @@ def test_insufficient_distinct_ranks():
 
 def test_parameter_validation():
     data = generate_synthetic(100, seed=7, rank_max=30)
-    with pytest.raises(ParameterError):
-        fit_additive(data, tolerance=0.0)
-    with pytest.raises(ParameterError):
-        fit_additive(data, max_iterations=0)
     with pytest.raises(ParameterError):
         component_band(fit_additive(data), "diagonal", np.array([3.0]))
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -367,6 +368,7 @@ def _edited(doc, path, value):
 
 
 NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.mark.parametrize(
@@ -385,20 +387,67 @@ NAN = float("nan")
         ("gam", ["f_road", "values", 2], NAN, "finite values"),
         ("gam", ["f_home", "knots", 0], NAN, "finite values"),
         ("gam", ["mu"], NAN, "mu and sigma_hat must be finite"),
+        ("quadratic", ["beta_rh"], 3e-4, "no interaction term"),
+        ("quadratic", ["n_train"], INF, "OverflowError"),
+        ("quadratic", ["n_train"], -INF, "OverflowError"),
+        ("gam", ["n_train"], INF, "OverflowError"),
+        ("gam", ["n_train"], -INF, "OverflowError"),
+        ("gam", ["iterations_used"], INF, "OverflowError"),
+        ("gam", ["iterations_used"], -INF, "OverflowError"),
     ],
     ids=[
         "iso-nan-sigma", "iso-fractional-ranks", "aniso-zero-sigma", "iso-underflowing-sigma",
         "aniso-zero-rank",
         "aniso-nan-mov", "aniso-short-movs", "iso-empty-ranks", "quad-nan-beta0",
-        "quad-inf-beta_hh", "gam-nan-value", "gam-nan-knot", "gam-nan-mu",
+        "quad-inf-beta_hh", "gam-nan-value", "gam-nan-knot", "gam-nan-mu", "quad-beta_rh",
+        "quad-inf-n_train", "quad-minus-inf-n_train", "gam-inf-n_train", "gam-minus-inf-n_train",
+        "gam-inf-iterations", "gam-minus-inf-iterations",
     ],
 )
 def test_predict_rejects_invalid_payload(tmp_path, capsys, model_docs, kind, path, value, message):
     assert _predict_file(tmp_path, _edited(model_docs[kind], path, value)) == 2
     captured = capsys.readouterr()
-    assert f"invalid {kind!r} payload" in captured.err and message in captured.err
+    # "invalid" for a value the checks reject, "malformed" for one Python cannot convert
+    assert f"{kind!r} payload" in captured.err and message in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+_DROP = object()
+_MUTANTS = (_DROP, None, "x", [], {}, NAN, INF, -INF, -1, 0, 1e300, 1e-300, True, [[1]], [NAN])
+
+
+def _key_paths(node, prefix=()):
+    """The path of every key of every object in a JSON document."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield prefix + (key,)
+            yield from _key_paths(child, prefix + (key,))
+
+
+def test_predict_survives_mutated_model_files(tmp_path, capsys, model_docs):
+    # every key at every depth of the five files, dropped or set to each mutant
+    cases = 0
+    for kind, doc in sorted(model_docs.items()):
+        for path in _key_paths(doc):
+            for mutant in _MUTANTS:
+                edited = copy.deepcopy(doc)
+                parent = edited
+                for key in path[:-1]:
+                    parent = parent[key]
+                if mutant is _DROP:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = copy.deepcopy(mutant)
+                rc = _predict_file(tmp_path, edited)
+                captured = capsys.readouterr()
+                case = (kind, path, "drop" if mutant is _DROP else mutant, captured.err)
+                assert rc in (0, 2) and "Traceback" not in captured.err, case
+                if rc == 0:
+                    margin = float(captured.out.split(" = ")[1].split()[0])
+                    assert math.isfinite(margin), case
+                cases += 1
+    assert cases == 825
 
 
 def test_kernel_file_predicts_like_the_fitted_smoother(games_csv, tmp_path, capsys, model_docs):

@@ -16,7 +16,6 @@ from rankmargin.data import (
     fold_assignments,
     fold_splits,
     parse_games,
-    rotate,
     rotate_arrays,
     split,
     write_games,
@@ -255,34 +254,22 @@ def test_distinct_pairs_of_huge_ranks():
 
 
 def test_rotate_known_points():
-    x, y = rotate(1, 1)
-    assert abs(x - math.sqrt(2.0)) < 1e-12
-    assert abs(y) < 1e-12
-    x, y = rotate(351, 1)
-    assert abs(x - 248.90158697766603) < 1e-9
-    assert abs(y - 247.48737341529164) < 1e-9
-    assert rotate(0, 0) == (0.0, 0.0)
+    x, y = rotate_arrays([1, 351, 0], [1, 1, 0])
+    assert abs(x[0] - math.sqrt(2.0)) < 1e-12
+    assert abs(y[0]) < 1e-12
+    assert abs(x[1] - 248.90158697766603) < 1e-9
+    assert abs(y[1] - 247.48737341529164) < 1e-9
+    assert (x[2], y[2]) == (0.0, 0.0)
 
 
 def test_rotate_matches_reference_and_preserves_norm():
     rng = np.random.default_rng(7)
-    for _ in range(50):
-        r, h = rng.uniform(0, 400, 2)
-        x, y = rotate(r, h)
-        rx, ry = oracles.rotate_reference(r, h)
-        assert abs(x - rx) < 1e-9 and abs(y - ry) < 1e-9
-        assert abs((x * x + y * y) - (r * r + h * h)) < 1e-6
-
-
-def test_rotate_arrays_matches_scalar():
-    rng = np.random.default_rng(8)
-    r = rng.uniform(1, 351, 30)
-    h = rng.uniform(1, 351, 30)
-    xs, ys = rotate_arrays(r, h)
-    for i in range(len(r)):
-        x, y = rotate(r[i], h[i])
-        assert xs[i] == pytest.approx(x, abs=1e-12)
-        assert ys[i] == pytest.approx(y, abs=1e-12)
+    r, h = rng.uniform(0, 400, (2, 50))
+    x, y = rotate_arrays(r, h)
+    rx, ry = np.array([oracles.rotate_reference(a, b) for a, b in zip(r, h)]).T
+    np.testing.assert_allclose(x, rx, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(y, ry, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(x * x + y * y, r * r + h * h, rtol=0, atol=1e-6)
 
 
 def test_chronological_split_sizes():

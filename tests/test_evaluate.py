@@ -238,7 +238,6 @@ class TestBenchmark:
         train, valid = split(data, SplitSpec(train_count=150))
         report = benchmark([(train, valid)], [model_spec("quadratic"), _zero_model()])
         assert BenchmarkReport.from_dict(report.to_dict()) == report
-        assert BenchmarkReport.from_json(report.to_json()) == report
 
     def test_fit_failure_names_model_and_dataset(self):
         data = generate_synthetic(100, seed=71, rank_max=15)

@@ -109,6 +109,11 @@ def test_arrays_match_scalar():
     np.testing.assert_array_equal(batch, singles)
 
 
+def _raw_ranks(data, span):
+    """A LOESS fit on unscaled ranks."""
+    return LoessFit(data.road_ranks, data.home_ranks, data.movs, span, predictor_scales=(1.0, 1.0))
+
+
 class TestDegenerateNeighborhoods:
     def test_all_neighbors_at_query(self):
         data = make_dataset([5] * 6, [5] * 6, [1.0, 2, 3, 4, 5, 6])
@@ -120,7 +125,7 @@ class TestDegenerateNeighborhoods:
         data = make_dataset(
             [9, 11, 10, 10], [10, 10, 9, 11], [2.0, 4.0, 6.0, 8.0]
         )
-        fit = fit_loess(data, 1.0, standardize=False)
+        fit = _raw_ranks(data, 1.0)
         with pytest.warns(DegeneratePredictionWarning):
             assert predict_loess(fit, 10.0, 10.0) == pytest.approx(5.0)
 
@@ -128,7 +133,7 @@ class TestDegenerateNeighborhoods:
         data = make_dataset(
             [11, 10, 12, 10], [10, 11, 10, 12], [3.0, 7.0, 100.0, 200.0]
         )
-        fit = fit_loess(data, 1.0, standardize=False)
+        fit = _raw_ranks(data, 1.0)
         with pytest.warns(DegeneratePredictionWarning):
             # the two distance-2 points tie at d_max and drop out; the two
             # distance-1 points share a tricube weight, so their plain mean
@@ -174,7 +179,7 @@ def _mixed_degenerate():
         np.array([10.0, 50.0, 10.0, 50.0, 101.0]),
         np.array([10.0, 10.0, 50.0, 50.0, 101.0]),
     )
-    return fit_loess(data, 0.2, standardize=False), queries
+    return _raw_ranks(data, 0.2), queries
 
 
 class TestBatchedPrediction:
@@ -193,7 +198,7 @@ class TestBatchedPrediction:
             for span in (0.05, 0.1, 0.3, 0.6, 1.0):
                 if math.ceil(span * n) < 3:
                     continue
-                fit = fit_loess(data, span, standardize=standardize)
+                fit = fit_loess(data, span) if standardize else _raw_ranks(data, span)
                 got = predict_loess_arrays(fit, road, home)
                 worst = max(worst, np.max(np.abs(got - _exact(fit, road, home))))
         assert worst <= 1e-10

@@ -11,7 +11,6 @@ from rankmargin.numerics import (
     evaluate_smooth,
     evaluation_weights,
     f_cdf,
-    fit_smoothing_spline,
     min_ties_to_larger,
     weighted_least_squares,
 )
@@ -145,26 +144,32 @@ def _noisy_sites(seed, m=40, lo=1.0, hi=100.0):
     return x, y, w
 
 
+def _fit(x, y, w, df):
+    """The smoothing spline of target df through weighted sites, as the GAM fits it."""
+    sm = SplineSmoother(x, weights=w)
+    return sm.smooth(y, sm.lambda_for_df(df))
+
+
 class TestSplineSmoother:
     def test_reproduces_linear_data_any_df(self):
         x, _, w = _noisy_sites(1)
         y = 2.5 - 0.3 * x
         sm = SplineSmoother(x, weights=w)
         for df in (2.0, 3.7, 8.0, float(len(x))):
-            f = sm.fit(y, df)
+            f = sm.smooth(y, sm.lambda_for_df(df))
             np.testing.assert_allclose(f.values, y, atol=1e-8)
 
     def test_interpolation_limit(self):
         x, y, w = _noisy_sites(2)
         sm = SplineSmoother(x, weights=w)
-        f = sm.fit(y, float(len(x)))
+        f = sm.smooth(y, sm.lambda_for_df(float(len(x))))
         np.testing.assert_allclose(f.values, y, atol=1e-6)
         assert f.lam == 0.0
 
     def test_weighted_line_limit(self):
         x, y, w = _noisy_sites(3)
         sm = SplineSmoother(x, weights=w)
-        f = sm.fit(y, 2.0)
+        f = sm.smooth(y, sm.lambda_for_df(2.0))
         design = np.column_stack([np.ones(len(x)), x])
         sol = weighted_least_squares(design, y, w)
         np.testing.assert_allclose(f.values, design @ sol.coefficients, atol=1e-6)
@@ -229,6 +234,13 @@ class TestSplineSmoother:
         with pytest.raises(DataError):
             SplineSmoother(np.array([1.0, 2.0, 3.0, 1.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_weights_not_positive_and_finite(self, bad):
+        x, _, w = _noisy_sites(8)
+        w[3] = bad
+        with pytest.raises(ParameterError, match="weights must be finite and > 0"):
+            SplineSmoother(x, weights=w)
+
 
 def _season_axis(m):
     # a smoother over the home ranks of 4,518 training games at rank_max m,
@@ -272,12 +284,12 @@ def test_fit_and_trace_match_long_double_reference(m):
 class TestEvaluation:
     def test_values_at_knots(self):
         x, y, w = _noisy_sites(10)
-        f = fit_smoothing_spline(x, y, weights=w, target_df=5.0)
+        f = _fit(x, y, w, 5.0)
         np.testing.assert_allclose(evaluate_smooth(f, x), f.values, atol=1e-12)
 
     def test_matches_natural_spline_oracle(self):
         x, y, w = _noisy_sites(11)
-        f = fit_smoothing_spline(x, y, weights=w, target_df=6.0)
+        f = _fit(x, y, w, 6.0)
         pts = np.concatenate([np.linspace(-15.0, 120.0, 91), x])
         np.testing.assert_allclose(
             evaluate_smooth(f, pts),
@@ -287,7 +299,7 @@ class TestEvaluation:
 
     def test_linear_extrapolation(self):
         x, y, w = _noisy_sites(12)
-        f = fit_smoothing_spline(x, y, weights=w, target_df=5.0)
+        f = _fit(x, y, w, 5.0)
         for tail in (np.array([105.0, 110.0, 115.0]), np.array([-10.0, -6.0, -2.0])):
             vals = evaluate_smooth(f, tail)
             second_diff = vals[2] - 2.0 * vals[1] + vals[0]
@@ -295,7 +307,7 @@ class TestEvaluation:
 
     def test_evaluation_weights_reproduce_any_spline(self):
         x, y, w = _noisy_sites(13)
-        f = fit_smoothing_spline(x, y, weights=w, target_df=7.0)
+        f = _fit(x, y, w, 7.0)
         pts = np.concatenate([np.linspace(-20.0, 130.0, 61), x[3:9]])
         A = evaluation_weights(f.knots, pts)
         np.testing.assert_allclose(A @ f.values, evaluate_smooth(f, pts), atol=1e-10)
@@ -307,9 +319,9 @@ class TestEvaluation:
         # constants are natural splines, so rows sum to one
         np.testing.assert_allclose(A.sum(axis=1), np.ones(len(pts)), atol=1e-10)
 
-    def test_fit_smoothing_spline_effective_df(self):
+    def test_effective_df_matches_target(self):
         x, y, w = _noisy_sites(14)
-        f = fit_smoothing_spline(x, y, weights=w, target_df=4.0)
+        f = _fit(x, y, w, 4.0)
         assert f.effective_df == pytest.approx(4.0, abs=1e-6)
         assert f.lam > 0.0
 

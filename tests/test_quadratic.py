@@ -118,20 +118,6 @@ def test_constant_response_residuals_zero():
     np.testing.assert_allclose(resid, 0.0, atol=1e-9)
 
 
-def test_interaction_flag():
-    from util import make_dataset
-
-    rng = np.random.default_rng(7)
-    road = rng.integers(1, 60, 500).astype(float)
-    home = rng.integers(1, 60, 500).astype(float)
-    movs = 2.0 - 0.1 * road + 0.08 * home + 3e-4 * road * home
-    data = make_dataset(road, home, movs)
-    with_term = fit_quadratic(data, include_interaction=True)
-    assert with_term.beta_rh == pytest.approx(3e-4, abs=1e-8)
-    without = fit_quadratic(data)
-    assert without.beta_rh == 0.0
-
-
 def test_too_few_games():
     data = generate_synthetic(5, seed=8)
     with pytest.raises(DataError):
