@@ -36,7 +36,6 @@ from .errors import (
 from .evaluate import (
     BenchmarkReport,
     LackOfFitResult,
-    ModelSpec,
     PureErrorSummary,
     benchmark,
     kfold_cv,
@@ -88,7 +87,6 @@ __all__ = [
     "KernelSmootherSpec",
     "LackOfFitResult",
     "LoessFit",
-    "ModelSpec",
     "NoReplicationError",
     "NotConvergedError",
     "ParameterError",

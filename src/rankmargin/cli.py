@@ -26,8 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import models
-# perfbench/spans.py wraps predict_additive, predict_kernel, predict_loess and
-# predict_quadratic by these names; predict itself calls through models.KINDS
+# perfbench/spans.py wraps fit_additive, fit_quadratic, predict_additive,
+# predict_kernel, predict_loess and predict_quadratic by these names, so they
+# stay imported; fit, predict and report call them through models.KINDS
 from .additive import check_df_per_term, component_band, fit_additive, predict_additive
 from .data import Dataset, SplitSpec, distinct_pairs, parse_games, split, write_games
 from .errors import ParameterError, RankMarginError
@@ -90,7 +91,7 @@ def _load_model_file(path: str) -> tuple[models.Kind, object]:
             f"model file {path} must hold a JSON object, got {type(doc).__name__}"
         )
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # true == 1 and 1.0 == 1
         raise ParameterError(
             f"model file {path} has schema_version {version!r}, expected {SCHEMA_VERSION}"
         )
@@ -261,20 +262,16 @@ def cmd_report(args) -> int:
     _write_atomic(out_dir / "loess_cv.csv", _loess_curve_csv(loess_curve))
     _write_atomic(out_dir / "kernel_cv.csv", _kernel_curve_csv(iso_curve, aniso_surface))
 
-    table = benchmark(
-        pairs,
-        models.table_models(
-            span=chosen_span, sigma=chosen_sigma, sigma_x=chosen_sx, sigma_y=chosen_sy, df=args.df
-        ),
-    )
+    params = dict(span=chosen_span, sigma=chosen_sigma, sigma_x=chosen_sx, sigma_y=chosen_sy,
+                  df=args.df)
+    table, fits = benchmark(pairs, models.KINDS.values(), params)
 
     # quadratic lack of fit per training partition (descriptive elsewhere:
     # nonparametric fits have no clean parameter count, so the table's
     # RMSE-vs-pure-error columns carry that comparison instead)
     lof_rows = []
-    quad_fits = [fit_quadratic(train) for train, _ in pairs]
-    for i, ((train, _), qf) in enumerate(zip(pairs, quad_fits), start=1):
-        sse = qf.sigma_hat**2 * (len(train) - 5)
+    for i, ((train, _), fitted) in enumerate(zip(pairs, fits), start=1):
+        sse = fitted["quadratic"].sigma_hat**2 * (len(train) - 5)
         try:
             lof = lack_of_fit(sse, 5, train)
             lof_rows.append(
@@ -322,14 +319,13 @@ def cmd_report(args) -> int:
     )
     _write_atomic(out_dir / "report.txt", "\n".join(text_lines) + "\n")
 
-    qf1 = quad_fits[0]  # fitted on tune_train
+    qf1, gam1 = fits[0]["quadratic"], fits[0]["gam"]  # fitted on tune_train
     fitted_vals = predict_quadratic_arrays(qf1, tune_train.road_ranks, tune_train.home_ranks)
     stud = studentized_residuals(qf1, tune_train)
     resid_lines = ["fitted,studentized_residual"]
     resid_lines += [f"{f},{s}" for f, s in zip(fitted_vals, stud)]
     _write_atomic(out_dir / "residuals_quadratic.csv", "\n".join(resid_lines) + "\n")
 
-    gam1 = fit_additive(tune_train, df_per_term=args.df)
     comp_lines = ["component,rank,estimate,lower95,upper95"]
     for which, ranks in (
         ("road", tune_train.road_ranks),

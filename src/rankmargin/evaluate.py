@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .data import Dataset, distinct_pairs, fold_assignments, fold_splits  # fold_assignments re-exported
+from .data import Dataset, distinct_pairs, fold_splits
 from .errors import (
     DataError,
     InconsistencyError,
@@ -26,8 +25,6 @@ from .errors import (
     RankMarginError,
 )
 from .numerics import f_cdf
-
-Predictor = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def rmse(predicted, actual) -> float:
@@ -119,26 +116,19 @@ def lack_of_fit(fit_sse: float, n_params: int, data: Dataset) -> LackOfFitResult
     )
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """A named way to turn a training Dataset into a batch predictor."""
-
-    name: str
-    fit: Callable[[Dataset], Predictor]
-
-
-def kfold_cv(data: Dataset, k: int, seed: int, model: ModelSpec) -> float:
-    """Pooled k-fold cross-validated RMSE of `model` on `data`."""
+def kfold_cv(data: Dataset, k: int, seed: int, kind, params) -> float:
+    """Pooled k-fold cross-validated RMSE on `data` of the `models.Kind` row
+    `kind`, fitted with the smoothing parameters `params`."""
     n = len(data)
     total_sq = 0.0
     for j, (tr_idx, held_out) in enumerate(fold_splits(n, k, seed), start=1):
         try:
-            predictor = model.fit(data.subset(tr_idx))
+            fitted = kind.fit(data.subset(tr_idx), params)
         except Exception as exc:
             raise RankMarginError(
-                f"model {model.name!r} failed to fit in fold {j} of {k}: {exc}"
+                f"model {kind.column!r} failed to fit in fold {j} of {k}: {exc}"
             ) from exc
-        preds = predictor(data.road_ranks[held_out], data.home_ranks[held_out])
+        preds = kind.predict(fitted, data.road_ranks[held_out], data.home_ranks[held_out])
         err = np.asarray(preds, dtype=float) - data.movs[held_out]
         total_sq += float(err @ err)
     return math.sqrt(total_sq / n)
@@ -232,22 +222,27 @@ def _column_mean(rows, col_idx: int):
     return float(sum(vals) / len(vals))
 
 
-def benchmark(pairs, models) -> BenchmarkReport:
-    """Fit every model on every training set and tabulate RMSEs.
+def benchmark(pairs, kinds, params) -> tuple[BenchmarkReport, list[dict]]:
+    """Fit every model kind on every training set and tabulate RMSEs.
 
-    `pairs` is a sequence of (train, validation) Dataset pairs; `models` a
-    sequence of ModelSpec. Each model is fit once per pair and scored on
-    both halves, which it predicts in one call. Pure error is computed per
-    dataset from its own replicate groups (None when a dataset has no
-    replicates).
+    `pairs` is a sequence of (train, validation) Dataset pairs, `kinds` a
+    sequence of `models.Kind` rows, and `params` maps each smoothing
+    parameter a row `needs` to its value. Each kind is fit once per pair and
+    scored on both halves, which it predicts in one call. Pure error is
+    computed per dataset from its own replicate groups (None when a dataset
+    has no replicates).
+
+    Returns the table and the fits: `fits[i]` maps each kind's name to the
+    model fitted on the training set of `pairs[i]`.
     """
     pairs = list(pairs)
-    models = list(models)
-    if not pairs or not models:
+    kinds = list(kinds)
+    if not pairs or not kinds:
         raise ParameterError("benchmark needs at least one dataset pair and one model")
-    columns = (PURE_ERROR_COLUMN,) + tuple(m.name for m in models)
+    columns = (PURE_ERROR_COLUMN,) + tuple(kind.column for kind in kinds)
     training_rows = []
     validation_rows = []
+    fits = []
     for i, (train, valid) in enumerate(pairs, start=1):
         def pure_or_none(ds):
             try:
@@ -257,15 +252,18 @@ def benchmark(pairs, models) -> BenchmarkReport:
 
         train_vals = [pure_or_none(train)]
         valid_vals = [pure_or_none(valid)]
-        for model in models:
+        fits.append({})
+        for kind in kinds:
             try:
-                predictor = model.fit(train)
+                fitted = kind.fit(train, params)
             except Exception as exc:
                 raise RankMarginError(
-                    f"model {model.name!r} failed on training {i}: {exc}"
+                    f"model {kind.column!r} failed on training {i}: {exc}"
                 ) from exc
+            fits[-1][kind.name] = fitted
             # one call for both halves: predictions do not depend on their batch
-            preds = predictor(
+            preds = kind.predict(
+                fitted,
                 np.concatenate([train.road_ranks, valid.road_ranks]),
                 np.concatenate([train.home_ranks, valid.home_ranks]),
             )
@@ -281,10 +279,11 @@ def benchmark(pairs, models) -> BenchmarkReport:
         label="Mean, validation",
         values=tuple(_column_mean(validation_rows, c) for c in range(len(columns))),
     )
-    return BenchmarkReport(
+    report = BenchmarkReport(
         columns=columns,
         training_rows=tuple(training_rows),
         validation_rows=tuple(validation_rows),
         training_mean=training_mean,
         validation_mean=validation_mean,
     )
+    return report, fits

@@ -8,17 +8,16 @@
     needs         the smoothing parameters its fit reads; the CLI flag of
                   each is the name with "_" as "-"
     fit           fit(train, params) -> fitted model, `params` mapping each
-                  name in `needs` to its value
+                  name in `needs` (and possibly others) to its value
     predict       predict(fitted, road_ranks, home_ranks) -> margins, a batch
                   predictor; one rank pair is a batch of one
     to_payload    fitted model -> the "payload" object of a model file
     from_payload  that object -> fitted model; every number and array is
                   checked, and a malformed payload raises
 
-`model_spec`, `table_models` and the CLI's `fit`, `predict` and model-file
-loading iterate this table or look a kind up in it; no other code branches
-on a kind. The model-file format is defined here, apart from the quadratic
-payload, which is `QuadraticFit.to_dict`/`from_dict`.
+`evaluate.benchmark`, `evaluate.kfold_cv` and the CLI's `fit`, `predict` and
+model-file loading iterate this table or take rows of it; no other code
+branches on a kind. The model-file format is defined here.
 
 Row callables call the fit and predict functions through this module's
 global names rather than holding the function objects, so that a tracer that
@@ -33,10 +32,9 @@ from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .additive import AdditiveFit, fit_additive, predict_additive_arrays
+from .additive import _MAX_ITERATIONS, AdditiveFit, fit_additive, predict_additive_arrays
 from .data import Dataset
 from .errors import ParameterError
-from .evaluate import ModelSpec
 from .kernel import KernelSmootherSpec, anisotropic_smoother, isotropic_smoother, predict_kernel_arrays
 from .loess import LoessFit, fit_loess, predict_loess_arrays
 from .numerics import SmoothFunction
@@ -57,6 +55,32 @@ class Kind(NamedTuple):
 
 # --------------------------------------------------------------------------
 # model-file payloads
+
+
+def _number(value, name: str, lo=-math.inf, hi=math.inf, integer=False):
+    """A payload number, checked: a JSON number (a boolean is not one),
+    finite, in [lo, hi] and, if `integer`, integral. Returns a float, or an
+    int if `integer`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    number = int(value) if integer else float(value)  # int() of +-inf raises OverflowError
+    if not (number == value and math.isfinite(number) and lo <= number <= hi):
+        what = "an integer" if integer else "a finite number"
+        raise ParameterError(f"{name} must be {what} in [{lo}, {hi}], got {value!r}")
+    return number
+
+
+_QUADRATIC_BETAS = ("beta0", "beta_r", "beta_h", "beta_rr", "beta_hh")
+
+
+def _quadratic_from_payload(d: dict) -> QuadraticFit:
+    if "beta_rh" in d:  # a term this model cannot apply
+        raise ParameterError("the model has no interaction term, got beta_rh")
+    return QuadraticFit(
+        **{key: _number(d[key], key) for key in _QUADRATIC_BETAS},
+        sigma_hat=_number(d["sigma_hat"], "sigma_hat", 0.0),
+        n_train=_number(d["n_train"], "n_train", 1, integer=True),
+    )
 
 
 def _smooth_to_dict(sf: SmoothFunction) -> dict:
@@ -80,12 +104,13 @@ def _smooth_from_dict(d: dict) -> SmoothFunction:
         raise ParameterError(
             "knots, values, second_derivatives and knot_weights must be lists of one length >= 2"
         )
-    lam = math.inf if d["lam"] == "inf" else float(d["lam"])
-    effective_df = float(d["effective_df"])
-    finite = all(np.isfinite(a).all() for a in arrays.values()) and math.isfinite(effective_df)
-    if not (finite and lam >= 0.0 and (np.diff(knots) > 0.0).all()):
+    lam = math.inf if d["lam"] == "inf" else _number(d["lam"], "lam", 0.0)
+    # a trace within lambda_for_df's tolerance of its target
+    effective_df = _number(d["effective_df"], "effective_df", 2.0, len(knots) + 1e-9)
+    finite = all(np.isfinite(a).all() for a in arrays.values())
+    if not (finite and (np.diff(knots) > 0.0).all() and (arrays["knot_weights"] > 0.0).all()):
         raise ParameterError(
-            "a smooth term needs finite values, increasing knots and lam >= 0 (or \"inf\")"
+            "a smooth term needs finite values, increasing knots and knot_weights > 0"
         )
     return SmoothFunction(lam=lam, effective_df=effective_df, **arrays)
 
@@ -103,17 +128,18 @@ def _gam_to_payload(fit: AdditiveFit) -> dict:
 
 
 def _gam_from_payload(payload: dict) -> AdditiveFit:
-    mu, sigma_hat = float(payload["mu"]), float(payload["sigma_hat"])
-    if not (math.isfinite(mu) and math.isfinite(sigma_hat)):
-        raise ParameterError(f"mu and sigma_hat must be finite, got {mu} and {sigma_hat}")
+    converged = payload["converged"]
+    if not isinstance(converged, bool):
+        raise ParameterError(f"converged must be true or false, got {converged!r}")
     return AdditiveFit(
-        mu=mu,
+        mu=_number(payload["mu"], "mu"),
         f_road=_smooth_from_dict(payload["f_road"]),
         f_home=_smooth_from_dict(payload["f_home"]),
-        sigma_hat=sigma_hat,
-        iterations_used=int(payload["iterations_used"]),
-        converged=bool(payload["converged"]),
-        n_train=int(payload["n_train"]),
+        sigma_hat=_number(payload["sigma_hat"], "sigma_hat", 0.0),
+        iterations_used=_number(payload["iterations_used"], "iterations_used", 1,
+                                _MAX_ITERATIONS, integer=True),
+        converged=converged,
+        n_train=_number(payload["n_train"], "n_train", 1, integer=True),
     )
 
 
@@ -127,9 +153,10 @@ def _games_to_payload(fit) -> dict:
 
 
 def _kernel_from_payload(payload: dict, sigma_x: str, sigma_y: str) -> KernelSmootherSpec:
-    # the constructor checks the arrays and the bandwidths
+    # the constructor checks the arrays and the bandwidths' range
     games = (payload["road_ranks"], payload["home_ranks"], payload["movs"])
-    return KernelSmootherSpec(*games, payload[sigma_x], payload[sigma_y])
+    sigmas = (_number(payload[sigma_x], sigma_x, 0.0), _number(payload[sigma_y], sigma_y, 0.0))
+    return KernelSmootherSpec(*games, *sigmas)
 
 
 # --------------------------------------------------------------------------
@@ -140,7 +167,8 @@ KINDS: dict[str, Kind] = {row.name: row for row in (
     Kind("quadratic", "Quadratic regression", (),
          lambda train, p: fit_quadratic(train),
          lambda f, r, h: predict_quadratic_arrays(f, r, h),
-         QuadraticFit.to_dict, QuadraticFit.from_dict),
+         lambda f: {key: getattr(f, key) for key in (*_QUADRATIC_BETAS, "sigma_hat", "n_train")},
+         _quadratic_from_payload),
     Kind("gam", "Gaussian GAM", ("df",),
          lambda train, p: fit_additive(train, df_per_term=p["df"]),
          lambda f, r, h: predict_additive_arrays(f, r, h),
@@ -150,9 +178,9 @@ KINDS: dict[str, Kind] = {row.name: row for row in (
          lambda f, r, h: predict_loess_arrays(f, r, h),
          lambda f: {"span": f.span, "predictor_scales": list(f.predictor_scales),
                     **_games_to_payload(f)},
-         # the constructor checks the arrays, the span and the scales
-         lambda d: LoessFit(d["road_ranks"], d["home_ranks"], d["movs"],
-                            d["span"], d["predictor_scales"])),
+         # the constructor checks the arrays and the range of the span and scales
+         lambda d: LoessFit(d["road_ranks"], d["home_ranks"], d["movs"], _number(d["span"], "span"),
+                            [_number(s, "predictor_scales") for s in d["predictor_scales"]])),
     Kind("kernel-iso", "Isotropic kernel", ("sigma",),
          lambda train, p: isotropic_smoother(train, p["sigma"]),
          lambda f, r, h: predict_kernel_arrays(f, r, h),
@@ -167,21 +195,3 @@ KINDS: dict[str, Kind] = {row.name: row for row in (
 
 TABLE_COLUMNS = tuple(row.column for row in KINDS.values())
 
-
-def model_spec(kind: str, **params: float) -> ModelSpec:
-    """The benchmark model of `kind`, with its smoothing parameters pinned:
-    `params` must hold every name in the row's `needs`; others are ignored."""
-    row = KINDS[kind]
-    pinned = {name: params[name] for name in row.needs}
-
-    def fit(train: Dataset):
-        fitted = row.fit(train, pinned)
-        return lambda r, h: row.predict(fitted, r, h)
-
-    return ModelSpec(name=row.column, fit=fit)
-
-
-def table_models(span: float, sigma: float, sigma_x: float, sigma_y: float, df: float = 4.0):
-    """The five models of the benchmark table, in column order."""
-    params = dict(span=span, sigma=sigma, sigma_x=sigma_x, sigma_y=sigma_y, df=df)
-    return [model_spec(kind, **params) for kind in KINDS]

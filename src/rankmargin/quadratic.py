@@ -12,7 +12,6 @@ coefficients on the original scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,30 +33,6 @@ class QuadraticFit:
     sigma_hat: float
     n_train: int
     hat_diagonal: np.ndarray | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "beta0": self.beta0,
-            "beta_r": self.beta_r,
-            "beta_h": self.beta_h,
-            "beta_rr": self.beta_rr,
-            "beta_hh": self.beta_hh,
-            "sigma_hat": self.sigma_hat,
-            "n_train": self.n_train,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuadraticFit":
-        """Inverse of `to_dict`; raises ParameterError on a non-finite value,
-        or on an interaction term, which this model does not have."""
-        if "beta_rh" in d:
-            raise ParameterError("the model has no interaction term, got beta_rh")
-        keys = ("beta0", "beta_r", "beta_h", "beta_rr", "beta_hh", "sigma_hat")
-        values = {key: float(d[key]) for key in keys}
-        bad = [key for key, v in values.items() if not math.isfinite(v)]
-        if bad:
-            raise ParameterError(f"coefficients must be finite, got non-finite {', '.join(bad)}")
-        return cls(n_train=int(d["n_train"]), **values)
 
 
 def fit_quadratic(train: Dataset) -> QuadraticFit:

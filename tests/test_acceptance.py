@@ -14,8 +14,8 @@ import pytest
 
 from rankmargin import cli
 from rankmargin.additive import fit_additive, predict_additive_arrays
-from rankmargin.data import SplitSpec, split
-from rankmargin.evaluate import BenchmarkReport, fold_assignments, lack_of_fit, pure_error
+from rankmargin.data import SplitSpec, fold_assignments, split
+from rankmargin.evaluate import BenchmarkReport, lack_of_fit, pure_error
 from rankmargin.kernel import (
     anisotropic_smoother,
     isotropic_smoother,
@@ -24,7 +24,7 @@ from rankmargin.kernel import (
     select_sigma_loo,
 )
 from rankmargin.loess import fit_loess, predict_loess, select_span_cv
-from rankmargin.models import table_models
+from rankmargin.models import KINDS
 from rankmargin.numerics import f_cdf
 from rankmargin.quadratic import fit_quadratic, predict_quadratic_arrays
 from rankmargin.synth import DEFAULT_COEFFICIENTS, generate_synthetic
@@ -88,12 +88,12 @@ def test_criterion_2_pure_error_lower_bound():
         (sx, sy), _ = select_aniso_cv(
             data, [10.0, 30.0], [4.0, 12.0], folds=5, seed=seed
         )
-        specs = table_models(span=0.3, sigma=sigma, sigma_x=sx, sigma_y=sy)
+        params = dict(span=0.3, sigma=sigma, sigma_x=sx, sigma_y=sy, df=4.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for spec in specs:
-                predictor = spec.fit(data)
-                r = predictor(data.road_ranks, data.home_ranks) - data.movs
+            for kind in KINDS.values():
+                fitted = kind.fit(data, params)
+                r = kind.predict(fitted, data.road_ranks, data.home_ranks) - data.movs
                 sse = float(r @ r)
                 worst = min(worst, sse - bound)
     elapsed = time.perf_counter() - t0

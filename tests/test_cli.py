@@ -1,17 +1,22 @@
 """End-to-end CLI behavior through cli.main plus console-script smoke tests."""
 
+import contextlib
 import copy
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rankmargin import cli
+from rankmargin import cli, models
 from rankmargin.data import parse_games
 from rankmargin.evaluate import BenchmarkReport
 from rankmargin.kernel import anisotropic_smoother, isotropic_smoother, predict_kernel
@@ -310,7 +315,7 @@ def test_predict_rejects_non_object_model_file(tmp_path, capsys):
         ({"home_ranks": [2, 5, 1, 7, 3, 8, 4, 6, 9]}, "lists of one length"),
         ({"movs": [3.0, -1.0, 4.0, 1.0, float("nan"), 9.0, 2.0, -6.0]}, "must be finite"),
         ({"road_ranks": [1, 2, 3, float("inf"), 5, 6, 7, 8]}, "must be finite"),
-        ({"span": float("nan")}, "span must be in (0, 1]"),
+        ({"span": float("nan")}, "span must be a finite number"),
         ({"span": 5}, "span must be in (0, 1]"),
         ({"span": 0.25}, "keeps fewer than 3"),
         ({"predictor_scales": [0.0, 3.0]}, "predictor_scales"),
@@ -374,7 +379,7 @@ INF = float("inf")
 @pytest.mark.parametrize(
     "kind, path, value, message",
     [
-        ("kernel-iso", ["sigma"], NAN, "bandwidths must be finite and > 0"),
+        ("kernel-iso", ["sigma"], NAN, "sigma must be a finite number"),
         ("kernel-iso", ["road_ranks"], lambda ranks: [r + 0.7 for r in ranks], "integers >= 1"),
         ("kernel-aniso", ["sigma_y"], 0.0, "bandwidths must be finite and > 0"),
         ("kernel-iso", ["sigma"], 1e-200, "a square that does not underflow"),
@@ -382,11 +387,11 @@ INF = float("inf")
         ("kernel-aniso", ["movs", 3], NAN, "must be finite"),
         ("kernel-aniso", ["movs"], lambda movs: movs[:-1], "lists of one length"),
         ("kernel-iso", ["road_ranks"], [], "lists of one length"),
-        ("quadratic", ["beta0"], NAN, "non-finite beta0"),
-        ("quadratic", ["beta_hh"], float("inf"), "non-finite beta_hh"),
+        ("quadratic", ["beta0"], NAN, "beta0 must be a finite number"),
+        ("quadratic", ["beta_hh"], float("inf"), "beta_hh must be a finite number"),
         ("gam", ["f_road", "values", 2], NAN, "finite values"),
         ("gam", ["f_home", "knots", 0], NAN, "finite values"),
-        ("gam", ["mu"], NAN, "mu and sigma_hat must be finite"),
+        ("gam", ["mu"], NAN, "mu must be a finite number"),
         ("quadratic", ["beta_rh"], 3e-4, "no interaction term"),
         ("quadratic", ["n_train"], INF, "OverflowError"),
         ("quadratic", ["n_train"], -INF, "OverflowError"),
@@ -394,6 +399,15 @@ INF = float("inf")
         ("gam", ["n_train"], -INF, "OverflowError"),
         ("gam", ["iterations_used"], INF, "OverflowError"),
         ("gam", ["iterations_used"], -INF, "OverflowError"),
+        # fields predict never reads, and booleans where numbers belong
+        ("quadratic", ["n_train"], -1, "n_train must be an integer"),
+        ("quadratic", ["sigma_hat"], -1.0, "sigma_hat must be a finite number"),
+        ("gam", ["converged"], "x", "converged must be true or false"),
+        ("gam", ["iterations_used"], 1e300, "iterations_used must be an integer"),
+        ("gam", ["f_road", "effective_df"], -1, "effective_df must be a finite number"),
+        ("gam", ["f_home", "knot_weights"], lambda w: [-1.0] * len(w), "knot_weights > 0"),
+        ("loess", ["span"], True, "span must be a number"),
+        ("kernel-iso", ["sigma"], True, "sigma must be a number"),
     ],
     ids=[
         "iso-nan-sigma", "iso-fractional-ranks", "aniso-zero-sigma", "iso-underflowing-sigma",
@@ -401,7 +415,10 @@ INF = float("inf")
         "aniso-nan-mov", "aniso-short-movs", "iso-empty-ranks", "quad-nan-beta0",
         "quad-inf-beta_hh", "gam-nan-value", "gam-nan-knot", "gam-nan-mu", "quad-beta_rh",
         "quad-inf-n_train", "quad-minus-inf-n_train", "gam-inf-n_train", "gam-minus-inf-n_train",
-        "gam-inf-iterations", "gam-minus-inf-iterations",
+        "gam-inf-iterations", "gam-minus-inf-iterations", "quad-negative-n_train",
+        "quad-negative-sigma_hat", "gam-string-converged", "gam-huge-iterations",
+        "gam-negative-effective_df", "gam-negative-knot_weights", "loess-true-span",
+        "iso-true-sigma",
     ],
 )
 def test_predict_rejects_invalid_payload(tmp_path, capsys, model_docs, kind, path, value, message):
@@ -410,6 +427,15 @@ def test_predict_rejects_invalid_payload(tmp_path, capsys, model_docs, kind, pat
     # "invalid" for a value the checks reject, "malformed" for one Python cannot convert
     assert f"{kind!r} payload" in captured.err and message in captured.err
     assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "float", "string"])
+def test_predict_rejects_schema_version_not_integer_one(tmp_path, capsys, model_docs, version):
+    doc = dict(model_docs["quadratic"], schema_version=version)
+    assert _predict_file(tmp_path, doc) == 2
+    captured = capsys.readouterr()
+    assert f"has schema_version {version!r}, expected 1" in captured.err
     assert captured.out == ""
 
 
@@ -448,6 +474,63 @@ def test_predict_survives_mutated_model_files(tmp_path, capsys, model_docs):
                     assert math.isfinite(margin), case
                 cases += 1
     assert cases == 825
+
+
+# cells a CSV may hold in place of a good one: out-of-range or huge integers,
+# non-numbers, and bytes that are not UTF-8
+_BAD_CELLS = (
+    b"-1", b"0", b"-9007199254740993", b"9007199254740993", b"123456789012345678901234567890",
+    b"1e300", b"nan", b"", b"\xff\xfe", b"\x80",
+)
+
+
+@st.composite
+def _mutated_sample(draw):
+    rows = [line.split(b",") for line in SAMPLE.read_bytes().split(b"\n")]
+    for _ in range(draw(st.integers(1, 3))):
+        cells = rows[draw(st.integers(0, len(rows) - 1))]
+        j = draw(st.integers(0, len(cells) - 1)) if cells else 0
+        op = draw(st.sampled_from(["drop", "duplicate", "set", "splice", "empty-header"]))
+        if op == "empty-header":
+            rows[0] = [b""]
+        elif not cells:
+            continue
+        elif op == "drop":
+            del cells[j]
+        elif op == "duplicate":
+            cells.insert(j, cells[j])
+        elif op == "set":
+            cells[j] = draw(st.sampled_from(_BAD_CELLS))
+        else:
+            k = draw(st.integers(0, len(cells[j])))
+            not_utf8 = draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+            cells[j] = cells[j][:k] + not_utf8 + cells[j][k:]
+    text = b"\n".join(b",".join(cells) for cells in rows)
+    return text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=80, deadline=None)
+@given(csv_bytes=_mutated_sample())
+def test_ingest_survives_mutated_csv(fuzz_dir, csv_bytes):
+    path = fuzz_dir / "games.csv"
+    path.write_bytes(csv_bytes)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ranks above 351 warn
+        rc = cli.main(["ingest", "--input", str(path)])
+    assert rc in (0, 2) and "Traceback" not in err.getvalue(), err.getvalue()
+    if rc == 0:
+        for token in out.getvalue().split():
+            try:
+                value = float(token)
+            except ValueError:
+                continue
+            assert math.isfinite(value), out.getvalue()
 
 
 def test_kernel_file_predicts_like_the_fitted_smoother(games_csv, tmp_path, capsys, model_docs):
@@ -645,6 +728,21 @@ def test_report_deterministic(games_csv, tmp_path, capsys):
     capsys.readouterr()
     for name in REPORT_FILES:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_report_fits_each_kind_once_per_partition(games_csv, tmp_path, capsys, monkeypatch):
+    # the lack-of-fit rows, the residuals and the GAM bands reuse the table's fits
+    calls = {"fit_quadratic": 0, "fit_additive": 0}
+    for module in (models, cli):
+        for name in calls:
+            def counted(*args, _fit=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fit(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    assert _run_report(games_csv, tmp_path) == 0
+    capsys.readouterr()
+    assert calls == {"fit_quadratic": 2, "fit_additive": 2}
 
 
 def test_synth_deterministic(tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rankmargin.data import SplitSpec, split
+from rankmargin.data import SplitSpec, fold_assignments, split
 from rankmargin.errors import (
     DataError,
     InconsistencyError,
@@ -16,16 +16,14 @@ from rankmargin.errors import (
 from rankmargin.evaluate import (
     PURE_ERROR_COLUMN,
     BenchmarkReport,
-    ModelSpec,
     benchmark,
-    fold_assignments,
     kfold_cv,
     lack_of_fit,
     pure_error,
     rmse,
 )
 from rankmargin.kernel import select_sigma_loo
-from rankmargin.models import TABLE_COLUMNS, model_spec, table_models
+from rankmargin.models import KINDS, TABLE_COLUMNS
 from rankmargin.synth import generate_synthetic
 from util import make_dataset
 
@@ -149,6 +147,19 @@ class TestFoldAssignments:
             fold_assignments(10, 11, seed=0)
 
 
+def _broken_fit(train, params):
+    raise ValueError("boom")
+
+
+# rows shaped like models.KINDS rows: a model that predicts 0, one that cannot fit
+_ZERO = KINDS["quadratic"]._replace(
+    name="zero", column="Zero", fit=lambda train, params: None,
+    predict=lambda fitted, r, h: np.zeros(len(np.atleast_1d(r))),
+)
+_BROKEN = KINDS["quadratic"]._replace(name="broken", column="Broken", fit=_broken_fit)
+_QUADRATIC = KINDS["quadratic"]
+
+
 class TestKfoldCv:
     def test_zero_noise_quadratic_scores_zero(self):
         rng = np.random.default_rng(62)
@@ -158,40 +169,32 @@ class TestKfoldCv:
             -5.8 - 0.074 * road + 0.10 * home + 4.7e-5 * road**2 - 1.2e-4 * home**2
         )
         data = make_dataset(road, home, movs)
-        assert kfold_cv(data, 5, 0, model_spec("quadratic")) <= 1e-6
+        assert kfold_cv(data, 5, 0, _QUADRATIC, {}) <= 1e-6
 
     def test_deterministic(self):
         data = generate_synthetic(150, seed=63, rank_max=40)
-        model = model_spec("kernel-iso", sigma=12.0)
-        assert kfold_cv(data, 5, 1, model) == kfold_cv(data, 5, 1, model)
-        assert kfold_cv(data, 5, 2, model) != kfold_cv(data, 5, 1, model)
+        model = (KINDS["kernel-iso"], {"sigma": 12.0})
+        assert kfold_cv(data, 5, 1, *model) == kfold_cv(data, 5, 1, *model)
+        assert kfold_cv(data, 5, 2, *model) != kfold_cv(data, 5, 1, *model)
 
     def test_k_equals_n_matches_leave_one_out(self):
         data = generate_synthetic(60, seed=64, rank_max=25)
         sigma = 9.0
-        via_folds = kfold_cv(data, len(data), 0, model_spec("kernel-iso", sigma=sigma))
+        via_folds = kfold_cv(data, len(data), 0, KINDS["kernel-iso"], {"sigma": sigma})
         _, curve = select_sigma_loo(data, [sigma])
         assert via_folds == pytest.approx(curve[0][1], abs=1e-10)
 
     def test_failure_names_model_and_fold(self):
         data = generate_synthetic(20, seed=65, rank_max=10)
-
-        def broken_fit(train):
-            raise ValueError("boom")
-
         with pytest.raises(RankMarginError, match=r"'Broken'.*fold 1"):
-            kfold_cv(data, 4, 0, ModelSpec(name="Broken", fit=broken_fit))
-
-
-def _zero_model() -> ModelSpec:
-    return ModelSpec(name="Zero", fit=lambda train: lambda r, h: np.zeros(len(np.atleast_1d(r))))
+            kfold_cv(data, 4, 0, _BROKEN, {})
 
 
 class TestBenchmark:
     def test_single_pair_means_equal_rows(self):
         data = generate_synthetic(400, seed=66, rank_max=30)
         train, valid = split(data, SplitSpec(train_count=300))
-        report = benchmark([(train, valid)], [model_spec("quadratic")])
+        report, _ = benchmark([(train, valid)], [_QUADRATIC], {})
         assert len(report.training_rows) == 1
         assert len(report.validation_rows) == 1
         assert report.training_mean.values == report.training_rows[0].values
@@ -204,7 +207,7 @@ class TestBenchmark:
         for seed in (67, 68):
             data = generate_synthetic(300, seed=seed, rank_max=25)
             pairs.append(split(data, SplitSpec(train_count=200)))
-        report = benchmark(pairs, [model_spec("quadratic"), _zero_model()])
+        report, _ = benchmark(pairs, [_QUADRATIC, _ZERO], {})
         for rows, mean_row in (
             (report.training_rows, report.training_mean),
             (report.validation_rows, report.validation_mean),
@@ -218,16 +221,15 @@ class TestBenchmark:
     def test_column_order(self):
         data = generate_synthetic(500, seed=69, rank_max=40)
         train, valid = split(data, SplitSpec(train_count=350))
-        report = benchmark(
-            [(train, valid)], table_models(span=0.4, sigma=12.0, sigma_x=40.0, sigma_y=10.0)
-        )
+        params = dict(span=0.4, sigma=12.0, sigma_x=40.0, sigma_y=10.0, df=4.0)
+        report, _ = benchmark([(train, valid)], KINDS.values(), params)
         assert report.columns == (PURE_ERROR_COLUMN,) + TABLE_COLUMNS
         assert PURE_ERROR_COLUMN == "Pure error"
 
     def test_unreplicated_half_renders_dashes(self):
         train = make_dataset([5, 5, 6, 7], [5, 5, 8, 2], [1.0, 3.0, 0.0, 2.0])
         valid = make_dataset([1, 2, 3], [9, 8, 7], [0.0, 1.0, -1.0])
-        report = benchmark([(train, valid)], [_zero_model()])
+        report, _ = benchmark([(train, valid)], [_ZERO], {})
         assert report.validation_rows[0].values[0] is None
         text = report.to_text()
         assert "--" in text
@@ -236,70 +238,61 @@ class TestBenchmark:
     def test_round_trips(self):
         data = generate_synthetic(200, seed=70, rank_max=20)
         train, valid = split(data, SplitSpec(train_count=150))
-        report = benchmark([(train, valid)], [model_spec("quadratic"), _zero_model()])
+        report, _ = benchmark([(train, valid)], [_QUADRATIC, _ZERO], {})
         assert BenchmarkReport.from_dict(report.to_dict()) == report
 
     def test_fit_failure_names_model_and_dataset(self):
         data = generate_synthetic(100, seed=71, rank_max=15)
         train, valid = split(data, SplitSpec(train_count=80))
 
-        def broken_fit(tr):
-            raise ValueError("nope")
-
         with pytest.raises(RankMarginError, match=r"'Broken'.*training 1"):
-            benchmark([(train, valid)], [ModelSpec(name="Broken", fit=broken_fit)])
+            benchmark([(train, valid)], [_QUADRATIC, _BROKEN], {})
 
     def test_validation_errors(self):
         data = generate_synthetic(100, seed=72, rank_max=15)
         pair = split(data, SplitSpec(train_count=80))
         with pytest.raises(ParameterError):
-            benchmark([], [model_spec("quadratic")])
+            benchmark([], [_QUADRATIC], {})
         with pytest.raises(ParameterError):
-            benchmark([pair], [])
+            benchmark([pair], [], {})
 
     def test_one_predictor_call_per_partition(self):
         pairs = [
             split(generate_synthetic(400, seed=seed, rank_max=30), SplitSpec(train_count=300))
             for seed in (73, 74)
         ]
-        calls, predictors = [], []
+        calls = []
 
-        def recording(model):
-            def fit(train):
-                predict = model.fit(train)
-                predictors.append(predict)
+        def recording(kind):
+            def predict(fitted, r, h):
+                calls.append((kind.name, fitted, np.array(r), np.array(h)))
+                return kind.predict(fitted, r, h)
 
-                def recorded(r, h):
-                    calls.append((model.name, np.array(r), np.array(h)))
-                    return predict(r, h)
+            return kind._replace(predict=predict)
 
-                return recorded
-
-            return ModelSpec(name=model.name, fit=fit)
-
-        models = table_models(span=0.4, sigma=3.0, sigma_x=8.0, sigma_y=4.0)
-        report = benchmark(pairs, [recording(m) for m in models])
-        assert [name for name, _, _ in calls] == [m.name for m in models] * len(pairs)
+        params = dict(span=0.4, sigma=3.0, sigma_x=8.0, sigma_y=4.0, df=4.0)
+        report, fits = benchmark(pairs, [recording(k) for k in KINDS.values()], params)
+        assert [name for name, *_ in calls] == list(KINDS) * len(pairs)
+        assert [list(f) for f in fits] == [list(KINDS)] * len(pairs)
         for i, (train, valid) in enumerate(pairs):
             road = np.concatenate([train.road_ranks, valid.road_ranks])
             home = np.concatenate([train.home_ranks, valid.home_ranks])
             halves = ((report.training_rows[i], train), (report.validation_rows[i], valid))
-            for c in range(len(models)):
-                _, r, h = calls[i * len(models) + c]
+            for c, kind in enumerate(KINDS.values()):
+                name, fitted, r, h = calls[i * len(KINDS) + c]
+                assert fitted is fits[i][name]  # the fits returned are those scored
                 np.testing.assert_array_equal(r, road)
                 np.testing.assert_array_equal(h, home)
                 # the RMSEs of one call equal those of a separate call per half
-                predict = predictors[i * len(models) + c]
                 for row, half in halves:
-                    alone = predict(half.road_ranks, half.home_ranks)
+                    alone = kind.predict(fitted, half.road_ranks, half.home_ranks)
                     assert row.values[c + 1] == rmse(alone, half.movs)
 
     def test_rank_data_scores_near_noise_level(self):
         data = generate_synthetic(3000, seed=60)
         train, valid = split(data, SplitSpec(train_count=2250))
-        report = benchmark(
-            [(train, valid)], table_models(span=0.3, sigma=15.0, sigma_x=40.0, sigma_y=10.0)
-        )
+        params = dict(span=0.3, sigma=15.0, sigma_x=40.0, sigma_y=10.0, df=4.0)
+        report, _ = benchmark([(train, valid)], KINDS.values(), params)
         for row in (report.training_rows[0], report.validation_rows[0]):
             for v in row.values[1:]:
                 assert 10.8 <= v <= 11.8
@@ -311,7 +304,7 @@ class TestBenchmark:
 def test_text_table_layout():
     data = generate_synthetic(300, seed=73, rank_max=25)
     train, valid = split(data, SplitSpec(train_count=220))
-    report = benchmark([(train, valid)], [model_spec("quadratic")])
+    report, _ = benchmark([(train, valid)], [_QUADRATIC], {})
     text = report.to_text()
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     assert lines[0].split()[0] == "Dataset"

@@ -11,9 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rankmargin import kernel
-from rankmargin.data import rotate_arrays
+from rankmargin.data import fold_assignments, rotate_arrays
 from rankmargin.errors import DataError, DegeneratePredictionWarning, ParameterError
-from rankmargin.evaluate import fold_assignments
 from rankmargin.kernel import (
     DEFAULT_SIGMA_GRID,
     DEFAULT_SIGMA_X_GRID,

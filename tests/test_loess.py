@@ -9,8 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rankmargin import loess
+from rankmargin.data import fold_assignments
 from rankmargin.errors import DegeneratePredictionWarning, ParameterError
-from rankmargin.evaluate import fold_assignments
 from rankmargin.loess import (
     DEFAULT_SPAN_GRID,
     LoessFit,

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from rankmargin import cli
-from rankmargin.evaluate import ModelSpec
-from rankmargin.models import KINDS, TABLE_COLUMNS, table_models
+from rankmargin.models import KINDS, TABLE_COLUMNS
 from rankmargin.synth import generate_synthetic
 
 
@@ -22,16 +21,15 @@ def test_column_names_and_order():
     )
 
 
-def test_table_models_fit_and_predict():
-    specs = table_models(span=0.4, sigma=10.0, sigma_x=30.0, sigma_y=8.0)
-    assert [s.name for s in specs] == list(TABLE_COLUMNS)
+def test_kinds_fit_and_predict():
+    params = dict(span=0.4, sigma=10.0, sigma_x=30.0, sigma_y=8.0, df=4.0)
+    assert list(KINDS) == ["quadratic", "gam", "loess", "kernel-iso", "kernel-aniso"]
     data = generate_synthetic(240, seed=80, rank_max=40)
     queries_r = np.array([1.0, 20.0, 39.0])
     queries_h = np.array([39.0, 20.0, 1.0])
-    for spec in specs:
-        assert isinstance(spec, ModelSpec)
-        predictor = spec.fit(data)
-        preds = np.asarray(predictor(queries_r, queries_h), dtype=float)
+    for kind in KINDS.values():
+        fitted = kind.fit(data, params)
+        preds = np.asarray(kind.predict(fitted, queries_r, queries_h), dtype=float)
         assert preds.shape == (3,)
         assert np.isfinite(preds).all()
 

@@ -6,6 +6,7 @@ import pytest
 from rankmargin.data import SplitSpec, split
 from rankmargin.errors import DataError, ParameterError
 from rankmargin.evaluate import pure_error
+from rankmargin.models import KINDS
 from rankmargin.quadratic import (
     QuadraticFit,
     fit_quadratic,
@@ -124,8 +125,13 @@ def test_too_few_games():
         fit_quadratic(data)
 
 
+def _through_model_file(fit):
+    row = KINDS["quadratic"]
+    return row.from_payload(row.to_payload(fit))
+
+
 def test_studentized_requires_hat():
-    restored = QuadraticFit.from_dict(REFERENCE_FIT.to_dict())
+    restored = _through_model_file(REFERENCE_FIT)
     data = generate_synthetic(50, seed=9)
     with pytest.raises(ParameterError):
         studentized_residuals(restored, data)
@@ -134,7 +140,7 @@ def test_studentized_requires_hat():
 def test_serialization_round_trip():
     data = generate_synthetic(300, seed=10, rank_max=100)
     fit = fit_quadratic(data)
-    again = QuadraticFit.from_dict(fit.to_dict())
+    again = _through_model_file(fit)
     assert again.beta0 == fit.beta0
     assert again.beta_hh == fit.beta_hh
     assert again.sigma_hat == fit.sigma_hat
