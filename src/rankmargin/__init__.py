@@ -34,7 +34,6 @@ from .errors import (
     RowParseError,
 )
 from .evaluate import (
-    BenchmarkReport,
     LackOfFitResult,
     PureErrorSummary,
     benchmark,
@@ -42,6 +41,7 @@ from .evaluate import (
     lack_of_fit,
     pure_error,
     rmse,
+    table_text,
 )
 from .kernel import (
     KernelSmootherSpec,
@@ -75,7 +75,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdditiveFit",
-    "BenchmarkReport",
     "CUSTOMARY_MAX_RANK",
     "CsvFormatError",
     "DataError",
@@ -131,6 +130,7 @@ __all__ = [
     "select_span_cv",
     "split",
     "studentized_residuals",
+    "table_text",
     "weighted_least_squares",
     "write_games",
 ]

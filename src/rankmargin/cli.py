@@ -32,7 +32,7 @@ from . import models
 from .additive import check_df_per_term, component_band, fit_additive, predict_additive
 from .data import Dataset, SplitSpec, distinct_pairs, parse_games, split, write_games
 from .errors import ParameterError, RankMarginError
-from .evaluate import benchmark, lack_of_fit, pure_error
+from .evaluate import benchmark, lack_of_fit, pure_error, table_text
 from .kernel import bandwidth_grid, predict_kernel, select_aniso_cv, select_sigma_loo
 from .loess import predict_loess, select_span_cv
 from .quadratic import fit_quadratic, predict_quadratic, predict_quadratic_arrays, studentized_residuals
@@ -177,49 +177,55 @@ def cmd_predict(args) -> int:
     return 0
 
 
+TUNED = ("loess", "kernel-iso", "kernel-aniso")  # the kinds with a smoothing parameter to tune
+
+
+def _tune(data: Dataset, args, kinds) -> tuple[dict, list[Path]]:
+    """Cross-validate the smoothing parameters of `kinds` (some of TUNED) on
+    `data` over the grid flags of `args`, and write their curves.
+
+    Every bandwidth grid given is checked before any tuning. A grid flag
+    left out searches the default grid; a one-element grid pins the value.
+    Returns the chosen values, named as `models.Kind.needs` names them, and
+    the curve files written to `args.out_dir`.
+    """
+    span_grid = _float_list(args.span_grid) if args.span_grid else None
+    sigma_grid, sx_grid, sy_grid = (
+        bandwidth_grid(_float_list(text), name) if text else None
+        for text, name in ((args.sigma_grid, "sigma"), (args.sigma_x_grid, "sigma_x"),
+                           (args.sigma_y_grid, "sigma_y"))
+    )
+    chosen, files = {}, {}
+    if "loess" in kinds:
+        chosen["span"], curve = select_span_cv(data, span_grid, folds=args.folds, seed=args.seed)
+        files["loess_cv.csv"] = ["span,rmse", *(f"{s},{r}" for s, r in curve)]
+    kernel_lines = ["mode,sigma,sigma_x,sigma_y,rmse"]
+    if "kernel-iso" in kinds:
+        chosen["sigma"], curve = select_sigma_loo(data, sigma_grid)
+        kernel_lines += [f"isotropic,{s},,,{r}" for s, r in curve]
+        files["kernel_cv.csv"] = kernel_lines
+    if "kernel-aniso" in kinds:
+        (chosen["sigma_x"], chosen["sigma_y"]), surface = select_aniso_cv(
+            data, sx_grid, sy_grid, folds=args.folds, seed=args.seed
+        )
+        kernel_lines += [f"anisotropic,,{sx},{sy},{r}" for sx, sy, r in surface]
+        files["kernel_cv.csv"] = kernel_lines
+    paths = [Path(args.out_dir) / name for name in files]
+    for path, lines in zip(paths, files.values()):
+        _write_atomic(path, "\n".join(lines) + "\n")
+    return chosen, paths
+
+
 def cmd_tune(args) -> int:
-    data = _read_dataset(args.input)
-    out_dir = Path(args.out_dir)
-    if args.model == "loess":
-        grid = _float_list(args.span_grid) if args.span_grid else None
-        best, curve = select_span_cv(data, grid, folds=args.folds, seed=args.seed)
-        _write_atomic(out_dir / "loess_cv.csv", _loess_curve_csv(curve))
-        print(f"best span: {best}")
-        print(f"wrote {out_dir / 'loess_cv.csv'}")
-    elif args.model == "kernel-iso":
-        grid = _float_list(args.sigma_grid) if args.sigma_grid else None
-        best, curve = select_sigma_loo(data, grid)
-        _write_atomic(out_dir / "kernel_cv.csv", _kernel_curve_csv(curve, []))
-        print(f"best sigma: {best}")
-        print(f"wrote {out_dir / 'kernel_cv.csv'}")
-    elif args.model == "kernel-aniso":
-        gx = _float_list(args.sigma_x_grid) if args.sigma_x_grid else None
-        gy = _float_list(args.sigma_y_grid) if args.sigma_y_grid else None
-        best, surface = select_aniso_cv(data, gx, gy, folds=args.folds, seed=args.seed)
-        _write_atomic(out_dir / "kernel_cv.csv", _kernel_curve_csv([], surface))
-        print(f"best (sigma_x, sigma_y): {best}")
-        print(f"wrote {out_dir / 'kernel_cv.csv'}")
+    chosen, paths = _tune(_read_dataset(args.input), args, [args.model])
+    needs = models.KINDS[args.model].needs
+    if len(needs) == 1:
+        print(f"best {needs[0]}: {chosen[needs[0]]}")
+    else:
+        print(f"best ({', '.join(needs)}): {tuple(chosen[name] for name in needs)}")
+    for path in paths:
+        print(f"wrote {path}")
     return 0
-
-
-def _loess_curve_csv(curve) -> str:
-    lines = ["span,rmse"]
-    lines += [f"{s},{r}" for s, r in curve]
-    return "\n".join(lines) + "\n"
-
-
-def _kernel_curve_csv(iso_curve, aniso_surface) -> str:
-    lines = ["mode,sigma,sigma_x,sigma_y,rmse"]
-    lines += [f"isotropic,{s},,,{r}" for s, r in iso_curve]
-    lines += [f"anisotropic,,{sx},{sy},{r}" for sx, sy, r in aniso_surface]
-    return "\n".join(lines) + "\n"
-
-
-def _bandwidth_flags(pin, grid_text, name):
-    """The grid `report` searches for one bandwidth: the pinned value, else
-    the grid flag, else None for the default. Every value given is checked."""
-    grid = bandwidth_grid(_float_list(grid_text), name) if grid_text else None
-    return bandwidth_grid([pin], name) if pin is not None else grid
 
 
 def cmd_report(args) -> int:
@@ -242,28 +248,11 @@ def cmd_report(args) -> int:
         pairs.append(split(data, spec))
     for train, _ in pairs:  # before any tuning, which takes most of a report
         check_df_per_term(train, args.df)
-    sigma_grid = _bandwidth_flags(args.sigma, args.sigma_grid, "sigma")
-    sx_grid = _bandwidth_flags(args.sigma_x, args.sigma_x_grid, "sigma_x")
-    sy_grid = _bandwidth_flags(args.sigma_y, args.sigma_y_grid, "sigma_y")
-    tune_train = pairs[0][0]
-
     # Smoothing parameters are tuned on the first training set and reused
     # everywhere, mirroring how the benchmark protocol treats them.
-    span_grid = [args.span] if args.span is not None else (
-        _float_list(args.span_grid) if args.span_grid else None
-    )
-    chosen_span, loess_curve = select_span_cv(
-        tune_train, span_grid, folds=args.folds, seed=args.seed
-    )
-    chosen_sigma, iso_curve = select_sigma_loo(tune_train, sigma_grid)
-    (chosen_sx, chosen_sy), aniso_surface = select_aniso_cv(
-        tune_train, sx_grid, sy_grid, folds=args.folds, seed=args.seed
-    )
-    _write_atomic(out_dir / "loess_cv.csv", _loess_curve_csv(loess_curve))
-    _write_atomic(out_dir / "kernel_cv.csv", _kernel_curve_csv(iso_curve, aniso_surface))
-
-    params = dict(span=chosen_span, sigma=chosen_sigma, sigma_x=chosen_sx, sigma_y=chosen_sy,
-                  df=args.df)
+    tune_train = pairs[0][0]
+    chosen, _ = _tune(tune_train, args, TUNED)
+    params = dict(chosen, df=args.df)
     table, fits = benchmark(pairs, models.KINDS.values(), params)
 
     # quadratic lack of fit per training partition (descriptive elsewhere:
@@ -288,19 +277,13 @@ def cmd_report(args) -> int:
 
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "tuning": {
-            "span": chosen_span,
-            "sigma": chosen_sigma,
-            "sigma_x": chosen_sx,
-            "sigma_y": chosen_sy,
-            "df_per_term": args.df,
-        },
-        "table": table.to_dict(),
+        "tuning": {**chosen, "df_per_term": args.df},
+        "table": table,
         "lack_of_fit": {"model": "quadratic regression", "rows": lof_rows},
     }
     _write_atomic(out_dir / "report.json", json.dumps(doc, indent=2))
 
-    text_lines = [table.to_text()]
+    text_lines = [table_text(table)]
     text_lines.append("")
     text_lines.append("Lack of fit, quadratic regression:")
     for row in lof_rows:
@@ -313,8 +296,9 @@ def cmd_report(args) -> int:
             )
     text_lines.append("")
     text_lines.append(
-        f"Smoothing parameters (tuned on training 1): span = {chosen_span}, "
-        f"sigma = {chosen_sigma:.4g}, (sigma_x, sigma_y) = ({chosen_sx:.4g}, {chosen_sy:.4g}), "
+        f"Smoothing parameters (tuned on training 1): span = {chosen['span']}, "
+        f"sigma = {chosen['sigma']:.4g}, "
+        f"(sigma_x, sigma_y) = ({chosen['sigma_x']:.4g}, {chosen['sigma_y']:.4g}), "
         f"GAM df per term = {args.df}"
     )
     _write_atomic(out_dir / "report.txt", "\n".join(text_lines) + "\n")
@@ -338,7 +322,7 @@ def cmd_report(args) -> int:
         ]
     _write_atomic(out_dir / "gam_components.csv", "\n".join(comp_lines) + "\n")
 
-    print(table.to_text())
+    print(table_text(table))
     print(f"wrote report.json, report.txt, residuals_quadratic.csv,")
     print(f"      gam_components.csv, loess_cv.csv, kernel_cv.csv in {out_dir}")
     return 0
@@ -361,6 +345,17 @@ def cmd_synth(args) -> int:
 
 # --------------------------------------------------------------------------
 # argument parsing
+
+
+def _add_tuning_flags(p) -> None:
+    """The flags `_tune` reads, which `tune` and `report` share."""
+    for flag, what in (("--span-grid", "spans"), ("--sigma-grid", "isotropic bandwidths"),
+                       ("--sigma-x-grid", "sigma_x values"), ("--sigma-y-grid", "sigma_y values")):
+        p.add_argument(flag, default=None,
+                       help=f"comma-separated {what} (default grid if left out; one value pins it)")
+    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out-dir", required=True)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -402,14 +397,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="cross-validate smoothing parameters")
     p.add_argument("--input", required=True)
-    p.add_argument("--model", choices=["loess", "kernel-iso", "kernel-aniso"], required=True)
-    p.add_argument("--span-grid", default=None, help="comma-separated spans")
-    p.add_argument("--sigma-grid", default=None, help="comma-separated sigmas")
-    p.add_argument("--sigma-x-grid", default=None)
-    p.add_argument("--sigma-y-grid", default=None)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--model", choices=TUNED, required=True)
+    _add_tuning_flags(p)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("report", help="benchmark all models and write the report")
@@ -419,18 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="default: 75%% of the input")
     p.add_argument("--partitions", type=int, default=3,
                    help="total train/validation partitions (first uses --split, rest random)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--folds", type=int, default=10)
     p.add_argument("--df", type=float, default=4.0)
-    p.add_argument("--span", type=float, default=None, help="pin the LOESS span (skips grid)")
-    p.add_argument("--sigma", type=float, default=None, help="pin the isotropic bandwidth")
-    p.add_argument("--sigma-x", type=float, default=None)
-    p.add_argument("--sigma-y", type=float, default=None)
-    p.add_argument("--span-grid", default=None)
-    p.add_argument("--sigma-grid", default=None)
-    p.add_argument("--sigma-x-grid", default=None)
-    p.add_argument("--sigma-y-grid", default=None)
-    p.add_argument("--out-dir", required=True)
+    _add_tuning_flags(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("synth", help="generate a synthetic games CSV")

@@ -134,95 +134,36 @@ def kfold_cv(data: Dataset, k: int, seed: int, kind, params) -> float:
     return math.sqrt(total_sq / n)
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    label: str
-    values: tuple  # one float-or-None per column
-
-
-@dataclass(frozen=True)
-class BenchmarkReport:
-    """RMSE table: one row per dataset, pure error plus one column per model."""
-
-    columns: tuple
-    training_rows: tuple
-    validation_rows: tuple
-    training_mean: ReportRow
-    validation_mean: ReportRow
-
-    def to_dict(self) -> dict:
-        def row(r: ReportRow) -> dict:
-            return {"label": r.label, "values": list(r.values)}
-
-        return {
-            "columns": list(self.columns),
-            "training_rows": [row(r) for r in self.training_rows],
-            "validation_rows": [row(r) for r in self.validation_rows],
-            "training_mean": row(self.training_mean),
-            "validation_mean": row(self.validation_mean),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BenchmarkReport":
-        def row(rd: dict) -> ReportRow:
-            return ReportRow(label=rd["label"], values=tuple(rd["values"]))
-
-        return cls(
-            columns=tuple(d["columns"]),
-            training_rows=tuple(row(r) for r in d["training_rows"]),
-            validation_rows=tuple(row(r) for r in d["validation_rows"]),
-            training_mean=row(d["training_mean"]),
-            validation_mean=row(d["validation_mean"]),
-        )
-
-    def to_text(self) -> str:
-        header_notes = [
-            "# RMSE of predicted margin of victory (road score - home score).",
-            "# Model columns use divisor n; the pure-error column uses",
-            "# n - (number of distinct rank pairs). '--' marks a dataset",
-            "# with no replicated rank pairs.",
-        ]
-        label_width = max(
-            len("Dataset"),
-            *(
-                len(r.label)
-                for r in (*self.training_rows, self.training_mean, *self.validation_rows, self.validation_mean)
-            ),
-        )
-        widths = [max(len(c), 8) for c in self.columns]
-
-        def fmt_row(label: str, values) -> str:
-            cells = [label.ljust(label_width)]
-            for v, w in zip(values, widths):
-                cells.append(("--" if v is None else f"{v:.2f}").rjust(w))
-            return "  ".join(cells)
-
-        lines = list(header_notes)
-        lines.append(
-            "  ".join(
-                ["Dataset".ljust(label_width)] + [c.rjust(w) for c, w in zip(self.columns, widths)]
-            )
-        )
-        for r in self.training_rows:
-            lines.append(fmt_row(r.label, r.values))
-        lines.append(fmt_row(self.training_mean.label, self.training_mean.values))
-        for r in self.validation_rows:
-            lines.append(fmt_row(r.label, r.values))
-        lines.append(fmt_row(self.validation_mean.label, self.validation_mean.values))
-        return "\n".join(lines) + "\n"
-
-
 PURE_ERROR_COLUMN = "Pure error"
 
 
-def _column_mean(rows, col_idx: int):
-    vals = [r.values[col_idx] for r in rows if r.values[col_idx] is not None]
-    if not vals:
-        return None
-    return float(sum(vals) / len(vals))
+def table_text(table: dict) -> str:
+    """The RMSE table that `benchmark` returns, as fixed-width text."""
+    rows = [*table["training_rows"], table["training_mean"],
+            *table["validation_rows"], table["validation_mean"]]
+    label_width = max(len("Dataset"), *(len(r["label"]) for r in rows))
+    widths = [max(len(c), 8) for c in table["columns"]]
+    lines = [
+        "# RMSE of predicted margin of victory (road score - home score).",
+        "# Model columns use divisor n; the pure-error column uses",
+        "# n - (number of distinct rank pairs). '--' marks a dataset",
+        "# with no replicated rank pairs.",
+        "  ".join(["Dataset".ljust(label_width)]
+                  + [c.rjust(w) for c, w in zip(table["columns"], widths)]),
+    ]
+    for r in rows:
+        cells = [("--" if v is None else f"{v:.2f}").rjust(w) for v, w in zip(r["values"], widths)]
+        lines.append("  ".join([r["label"].ljust(label_width), *cells]))
+    return "\n".join(lines) + "\n"
 
 
-def benchmark(pairs, kinds, params) -> tuple[BenchmarkReport, list[dict]]:
+def _mean_row(label: str, rows) -> dict:
+    """Each column's mean over `rows`, skipping the None of a dash."""
+    cols = [[v for v in col if v is not None] for col in zip(*(r["values"] for r in rows))]
+    return {"label": label, "values": [sum(c) / len(c) if c else None for c in cols]}
+
+
+def benchmark(pairs, kinds, params) -> tuple[dict, list[dict]]:
     """Fit every model kind on every training set and tabulate RMSEs.
 
     `pairs` is a sequence of (train, validation) Dataset pairs, `kinds` a
@@ -232,14 +173,17 @@ def benchmark(pairs, kinds, params) -> tuple[BenchmarkReport, list[dict]]:
     computed per dataset from its own replicate groups (None when a dataset
     has no replicates).
 
-    Returns the table and the fits: `fits[i]` maps each kind's name to the
-    model fitted on the training set of `pairs[i]`.
+    Returns the table and the fits. The table is the JSON object `report`
+    writes: "columns" (pure error, then one per kind), "training_rows" and
+    "validation_rows" (one per pair), "training_mean" and "validation_mean",
+    each row a {"label", "values"} object with one float or None per column.
+    `fits[i]` maps each kind's name to the model fitted on the training set
+    of `pairs[i]`.
     """
     pairs = list(pairs)
     kinds = list(kinds)
     if not pairs or not kinds:
         raise ParameterError("benchmark needs at least one dataset pair and one model")
-    columns = (PURE_ERROR_COLUMN,) + tuple(kind.column for kind in kinds)
     training_rows = []
     validation_rows = []
     fits = []
@@ -269,21 +213,13 @@ def benchmark(pairs, kinds, params) -> tuple[BenchmarkReport, list[dict]]:
             )
             train_vals.append(rmse(preds[: len(train)], train.movs))
             valid_vals.append(rmse(preds[len(train):], valid.movs))
-        training_rows.append(ReportRow(label=f"Training {i}", values=tuple(train_vals)))
-        validation_rows.append(ReportRow(label=f"Validation {i}", values=tuple(valid_vals)))
-    training_mean = ReportRow(
-        label="Mean, training",
-        values=tuple(_column_mean(training_rows, c) for c in range(len(columns))),
-    )
-    validation_mean = ReportRow(
-        label="Mean, validation",
-        values=tuple(_column_mean(validation_rows, c) for c in range(len(columns))),
-    )
-    report = BenchmarkReport(
-        columns=columns,
-        training_rows=tuple(training_rows),
-        validation_rows=tuple(validation_rows),
-        training_mean=training_mean,
-        validation_mean=validation_mean,
-    )
-    return report, fits
+        training_rows.append({"label": f"Training {i}", "values": train_vals})
+        validation_rows.append({"label": f"Validation {i}", "values": valid_vals})
+    table = {
+        "columns": [PURE_ERROR_COLUMN, *(kind.column for kind in kinds)],
+        "training_rows": training_rows,
+        "validation_rows": validation_rows,
+        "training_mean": _mean_row("Mean, training", training_rows),
+        "validation_mean": _mean_row("Mean, validation", validation_rows),
+    }
+    return table, fits

@@ -21,6 +21,9 @@ from .errors import ParameterError
 DEFAULT_COEFFICIENTS = (-5.8, -0.074, 0.10, 4.7e-5, -1.2e-4)
 DEFAULT_NOISE_SIGMA = 11.5
 DEFAULT_RANK_MAX = 351
+# generating and writing a game takes about 340 bytes at peak, so the most
+# games take about 3.4 GB (a season is about 6,000)
+MAX_GAMES = 10**7
 
 _START_DATE = np.datetime64("2014-11-01")
 _GAMES_PER_DAY = 50
@@ -43,11 +46,12 @@ def generate_synthetic(
     with (b0..b4) = `coefficients`. Exact real-valued margins are kept by
     default; `round_margins=True` rounds them to integers (needed when the
     result will be written to CSV, whose schema wants integer scores).
-    Identical arguments always produce an identical dataset. A noise or
-    coefficients that would put a score beyond 2**53 are rejected.
+    Identical arguments always produce an identical dataset. More than
+    MAX_GAMES games, and a noise or coefficients that would put a score
+    beyond 2**53, are rejected.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    if not 1 <= n <= MAX_GAMES:
+        raise ParameterError(f"n must be in [1, {MAX_GAMES:,}], got {n}")
     if not 2 <= rank_max <= 2**53:
         raise ParameterError(f"rank_max must be in [2, 2**53], got {rank_max}")
     if seed < 0:

@@ -15,7 +15,7 @@ import pytest
 from rankmargin import cli
 from rankmargin.additive import fit_additive, predict_additive_arrays
 from rankmargin.data import SplitSpec, fold_assignments, split
-from rankmargin.evaluate import BenchmarkReport, lack_of_fit, pure_error
+from rankmargin.evaluate import lack_of_fit, pure_error
 from rankmargin.kernel import (
     anisotropic_smoother,
     isotropic_smoother,
@@ -219,24 +219,24 @@ def test_criterion_7_benchmark_protocol(tmp_path):
         ]
     )
     doc = json.loads((out / "report.json").read_text())
-    table = BenchmarkReport.from_dict(doc["table"])
-    columns_ok = table.columns == (
+    table = doc["table"]
+    columns_ok = table["columns"] == [
         "Pure error",
         "Quadratic regression",
         "Gaussian GAM",
         "Local linear (LOESS)",
         "Isotropic kernel",
         "Anisotropic kernel",
-    )
+    ]
     rows_ok = (
-        table.training_mean.label == "Mean, training"
-        and table.validation_mean.label == "Mean, validation"
-        and len(table.validation_rows) == 3
+        table["training_mean"]["label"] == "Mean, training"
+        and table["validation_mean"]["label"] == "Mean, validation"
+        and len(table["validation_rows"]) == 3
     )
     vals = [
         v
-        for row in (*table.validation_rows, table.validation_mean)
-        for v in row.values
+        for row in (*table["validation_rows"], table["validation_mean"])
+        for v in row["values"]
         if v is not None
     ]
     window_ok = all(11.0 <= v <= 12.0 for v in vals)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 
 from rankmargin import cli, models
 from rankmargin.data import parse_games
-from rankmargin.evaluate import BenchmarkReport
 from rankmargin.kernel import anisotropic_smoother, isotropic_smoother, predict_kernel
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample_data" / "games_sample.csv"
@@ -408,6 +408,9 @@ INF = float("inf")
         ("gam", ["f_home", "knot_weights"], lambda w: [-1.0] * len(w), "knot_weights > 0"),
         ("loess", ["span"], True, "span must be a number"),
         ("kernel-iso", ["sigma"], True, "sigma must be a number"),
+        ("kernel-aniso", ["movs", 0], True, "movs must hold numbers, got a boolean"),
+        ("gam", ["f_road", "values", 0], True, "values must hold numbers, got a boolean"),
+        ("loess", ["home_ranks", 1], False, "home_ranks must hold numbers, got a boolean"),
     ],
     ids=[
         "iso-nan-sigma", "iso-fractional-ranks", "aniso-zero-sigma", "iso-underflowing-sigma",
@@ -418,7 +421,7 @@ INF = float("inf")
         "gam-inf-iterations", "gam-minus-inf-iterations", "quad-negative-n_train",
         "quad-negative-sigma_hat", "gam-string-converged", "gam-huge-iterations",
         "gam-negative-effective_df", "gam-negative-knot_weights", "loess-true-span",
-        "iso-true-sigma",
+        "iso-true-sigma", "aniso-true-mov", "gam-true-value", "loess-false-rank",
     ],
 )
 def test_predict_rejects_invalid_payload(tmp_path, capsys, model_docs, kind, path, value, message):
@@ -630,8 +633,8 @@ def test_tune_kernel_aniso(games_csv, tmp_path, capsys):
 def test_report_rejects_bad_span(games_csv, tmp_path, capsys):
     rc = cli.main(
         [
-            "report", "--input", str(games_csv), "--span", "0",
-            "--sigma", "8", "--sigma-x", "20", "--sigma-y", "5",
+            "report", "--input", str(games_csv), "--span-grid", "0",
+            "--sigma-grid", "8", "--sigma-x-grid", "20", "--sigma-y-grid", "5",
             "--out-dir", str(tmp_path),
         ]
     )
@@ -647,7 +650,7 @@ def test_report_rejects_bad_span(games_csv, tmp_path, capsys):
         (["--sigma-grid", "1e-200,8"], "does not underflow"),
         (["--sigma-x-grid", "1e-200,30"], "does not underflow"),
         (["--sigma-y-grid", "8,nan"], "must be finite"),
-        (["--sigma", "0"], "must be finite"),
+        (["--sigma-grid", "0"], "must be finite"),
     ],
     ids=["inf-df", "small-df", "underflowing-sigma", "underflowing-sigma-x", "nan-sigma-y",
          "zero-sigma"],
@@ -661,8 +664,8 @@ def test_report_rejects_bad_smoothing_flags(
     monkeypatch.setattr(cli, "select_span_cv", tuning)
     rc = cli.main(
         [
-            "report", "--input", str(games_csv), "--span", "0.5",
-            "--sigma-x", "20", "--sigma-y", "5", *flags, "--out-dir", str(tmp_path),
+            "report", "--input", str(games_csv), "--span-grid", "0.5",
+            "--sigma-x-grid", "20", "--sigma-y-grid", "5", *flags, "--out-dir", str(tmp_path),
         ]
     )
     assert rc == 2
@@ -703,9 +706,8 @@ def test_report_on_bundled_sample(tmp_path, capsys):
     assert "Mean, validation" in out
 
     doc = json.loads((tmp_path / "report.json").read_text())
-    table = BenchmarkReport.from_dict(doc["table"])
-    assert table.columns[0] == "Pure error"
-    assert len(table.columns) == 6
+    assert doc["table"]["columns"][0] == "Pure error"
+    assert len(doc["table"]["columns"]) == 6
     assert doc["tuning"]["span"] in (0.4, 0.8)
 
     text = (tmp_path / "report.txt").read_text()
@@ -770,6 +772,8 @@ def test_synth_rejects_bad_noise(tmp_path, capsys, noise):
         (["--rank-max", "100000000000000000000"], "rank_max must be in [2, 2**53]"),
         (["--coefficients", "nan,0,0,0,0"], "coefficients must be finite, got b0 = nan"),
         (["--coefficients", "1,2,3,inf,0"], "coefficients must be finite, got b3 = inf"),
+        # beyond the largest array numpy can make, so checked before generating
+        (["--n", str(2**63)], f"n must be in [1, 10,000,000], got {2**63}"),
     ],
 )
 def test_synth_rejects_bad_flags(tmp_path, capsys, flags, message):
@@ -783,8 +787,8 @@ def test_synth_rejects_bad_flags(tmp_path, capsys, flags, message):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["report", "--seed", "-1", "--span", "0.5", "--sigma", "8", "--sigma-x", "20",
-         "--sigma-y", "5"],
+        ["report", "--seed", "-1", "--span-grid", "0.5", "--sigma-grid", "8",
+         "--sigma-x-grid", "20", "--sigma-y-grid", "5"],
         ["tune", "--seed", "-3", "--model", "loess"],
         ["tune", "--seed", "-3", "--model", "kernel-aniso"],
     ],
@@ -794,6 +798,112 @@ def test_negative_seed_exits_2(games_csv, tmp_path, capsys, argv):
     assert cli.main([*argv, "--input", str(games_csv), "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "seed must be >= 0, got -" in err and "Traceback" not in err
+
+
+# Valid command lines on a small season, as (fixed arguments, the numeric
+# and grid flags with their valid values); the fuzzer sets one flag at a time.
+_FLAG_FUZZ_COMMANDS = {
+    "split": (["--input", "{games}", "--split", "random", "--out-dir", "{out}"],
+              {"--train-count": "180", "--seed": "1"}),
+    "fit": (["--input", "{games}", "--model", "all", "--out", "{out}"],
+            {"--df": "4", "--span": "0.5", "--sigma": "6", "--sigma-x": "20", "--sigma-y": "5"}),
+    "predict": (["--model-file", "{model}"], {"--road-rank": "3", "--home-rank": "7"}),
+    "tune": (["--input", "{games}", "--model", "{tuned}", "--out-dir", "{out}"],
+             {"--span-grid": "0.5,0.8", "--sigma-grid": "6", "--sigma-x-grid": "20",
+              "--sigma-y-grid": "5", "--folds": "3", "--seed": "0"}),
+    "report": (["--input", "{games}", "--out-dir", "{out}"],
+               {"--train-count": "180", "--partitions": "1", "--seed": "0", "--folds": "3",
+                "--df": "4", "--span-grid": "0.8", "--sigma-grid": "6", "--sigma-x-grid": "20",
+                "--sigma-y-grid": "5"}),
+    "synth": (["--out", "{out}/s.csv"],
+              {"--n": "50", "--rank-max": "20", "--noise-sigma": "5", "--seed": "1",
+               "--coefficients": "-5.8,-0.07,0.1,0,0"}),
+}
+_EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", str(2**63), "", ",", "x")
+# A large valid count is slow, not wrong: 2**63 partitions would split the
+# season 2**63 times. No edge value is a large valid `synth --n` (2**63 is
+# past the cap), so only this pair is left out.
+_SLOW = {("report", "--partitions", str(2**63))}
+_NUMBER_TEXT = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
+
+
+def _fuzz_argv(command, paths, tuned="loess", model="loess", flag=None, value=None):
+    """A `_FLAG_FUZZ_COMMANDS` line with `flag` set to `value`. Each flag is
+    joined to its value by "=", so that argparse reads a value such as "-inf"
+    or "-5.8,..." as a value, not as an option."""
+    fixed, flags = _FLAG_FUZZ_COMMANDS[command]
+    argv = [command, *fixed, *(f"{name}={value if name == flag else v}" for name, v in flags.items())]
+    return [a.format(games=paths["games"], out=paths["out"], tuned=tuned,
+                     model=paths["models"] / f"{model}.json") for a in argv]
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # degenerate-prediction fallbacks warn
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def flag_fuzz_paths(games_csv, tmp_path_factory):
+    root = tmp_path_factory.mktemp("flag-fuzz")
+    paths = {"games": games_csv, "out": root / "out", "models": root / "models"}
+    assert _run_quietly(_fuzz_argv("fit", dict(paths, out=root / "models")))[0] == 0
+    for command in _FLAG_FUZZ_COMMANDS:  # every unmutated line is valid
+        for tuned in cli.TUNED:
+            assert _run_quietly(_fuzz_argv(command, paths, tuned=tuned))[0] == 0, command
+    return paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_FLAG_FUZZ_COMMANDS)),
+    data=st.data(),
+    tuned=st.sampled_from(cli.TUNED),
+    model=st.sampled_from(list(models.KINDS)),
+)
+def test_flags_survive_edge_values(flag_fuzz_paths, command, data, tuned, model):
+    # ROADMAP direction 5: one numeric or grid flag at a time set to an edge value
+    flag = data.draw(st.sampled_from(sorted(_FLAG_FUZZ_COMMANDS[command][1])))
+    value = data.draw(st.sampled_from([v for v in _EDGE_VALUES if (command, flag, v) not in _SLOW]))
+    argv = _fuzz_argv(command, flag_fuzz_paths, tuned, model, flag, value)
+    rc, out, err = _run_quietly(argv)
+    assert rc in (0, 2) and "Traceback" not in err, (argv, err)
+    if rc == 0:
+        for token in _NUMBER_TEXT.findall(out):
+            assert math.isfinite(float(token)), (argv, out)
+
+
+@pytest.mark.parametrize(
+    "model, flags",
+    [
+        ("loess", ["--sigma-grid", "nan"]),
+        ("kernel-iso", ["--sigma-x-grid", "0"]),
+        ("kernel-aniso", ["--sigma-grid", "1e-200"]),
+    ],
+)
+def test_tune_checks_every_bandwidth_grid_given(games_csv, tmp_path, capsys, monkeypatch,
+                                                model, flags):
+    # a grid the model does not search is still checked, before any tuning
+    def tuning(*args, **kwargs):
+        raise AssertionError("tuning started before the flags were checked")
+
+    for name in ("select_span_cv", "select_sigma_loo", "select_aniso_cv"):
+        monkeypatch.setattr(cli, name, tuning)
+    argv = ["tune", "--input", str(games_csv), "--model", model, *flags, "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "grid entries must be finite and > 0" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_sigma_flag_is_ambiguous(games_csv, tmp_path, capsys):
+    # report has no pin flags: --span is a prefix of --span-grid alone, while
+    # --sigma is a prefix of three grid flags
+    argv = ["report", "--input", str(games_csv), "--sigma", "8", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert "ambiguous option: --sigma could match" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(capsys):

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from rankmargin import cli
-from rankmargin.models import KINDS, TABLE_COLUMNS
+from rankmargin.models import KINDS
 from rankmargin.synth import generate_synthetic
 
 
 def test_column_names_and_order():
-    assert TABLE_COLUMNS == (
+    assert tuple(kind.column for kind in KINDS.values()) == (
         "Quadratic regression",
         "Gaussian GAM",
         "Local linear (LOESS)",

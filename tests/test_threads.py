@@ -21,7 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = {
     "fit-gam": ["fit", "--input", "{input}", "--model", "gam", "--out", "{out}/gam.json"],
     "report": ["report", "--input", "{input}", "--partitions", "1", "--folds", "2",
-               "--span", "0.5", "--sigma", "12", "--sigma-x", "30", "--sigma-y", "8",
+               "--span-grid", "0.5", "--sigma-grid", "12", "--sigma-x-grid", "30",
+               "--sigma-y-grid", "8",
                "--out-dir", "{out}"],
 }
 
