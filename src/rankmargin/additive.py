@@ -20,7 +20,7 @@ import numpy as np
 from dataclasses import dataclass, replace
 
 from .data import Dataset
-from .errors import DataError, NotConvergedError, ParameterError
+from .errors import DataError, ParameterError
 from .numerics import SmoothFunction, SplineSmoother, evaluate_smooth, evaluation_weights
 
 _MIN_GAMES = 10
@@ -147,7 +147,7 @@ def component_band(fit: AdditiveFit, which_term: str, grid):
     sweeps were still moving.
     """
     if not fit.converged:
-        raise NotConvergedError("confidence bands require a converged fit")
+        raise DataError("confidence bands require a converged fit")
     if which_term == "road":
         sf = fit.f_road
     elif which_term == "home":

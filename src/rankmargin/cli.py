@@ -34,7 +34,7 @@ from .data import Dataset, SplitSpec, distinct_pairs, parse_games, split, write_
 from .errors import ParameterError, RankMarginError
 from .evaluate import benchmark, lack_of_fit, pure_error, table_text
 from .kernel import bandwidth_grid, predict_kernel, select_aniso_cv, select_sigma_loo
-from .loess import predict_loess, select_span_cv
+from .loess import check_span_grid, predict_loess, select_span_cv
 from .quadratic import fit_quadratic, predict_quadratic, predict_quadratic_arrays, studentized_residuals
 from .synth import DEFAULT_COEFFICIENTS, generate_synthetic
 
@@ -184,8 +184,9 @@ def _tune(data: Dataset, args, kinds) -> tuple[dict, list[Path]]:
     """Cross-validate the smoothing parameters of `kinds` (some of TUNED) on
     `data` over the grid flags of `args`, and write their curves.
 
-    Every bandwidth grid given is checked before any tuning. A grid flag
-    left out searches the default grid; a one-element grid pins the value.
+    Every grid given is checked before any tuning, also one the kinds do not
+    search. A grid flag left out searches the default grid; a one-element
+    grid pins the value.
     Returns the chosen values, named as `models.Kind.needs` names them, and
     the curve files written to `args.out_dir`.
     """
@@ -195,6 +196,8 @@ def _tune(data: Dataset, args, kinds) -> tuple[dict, list[Path]]:
         for text, name in ((args.sigma_grid, "sigma"), (args.sigma_x_grid, "sigma_x"),
                            (args.sigma_y_grid, "sigma_y"))
     )
+    if span_grid is not None:
+        check_span_grid(span_grid)
     chosen, files = {}, {}
     if "loess" in kinds:
         chosen["span"], curve = select_span_cv(data, span_grid, folds=args.folds, seed=args.seed)

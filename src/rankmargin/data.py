@@ -18,15 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import (
-    CsvFormatError,
-    DataError,
-    EmptyInputError,
-    InvalidSplitError,
-    ParameterError,
-    RankRangeWarning,
-    RowParseError,
-)
+from .errors import DataError, ParameterError, RankRangeWarning, RowParseError
 
 CSV_COLUMNS = (
     "date",
@@ -185,7 +177,7 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """
     n = len(dataset)
     if not 0 < spec.train_count < n:
-        raise InvalidSplitError(
+        raise ParameterError(
             f"train_count must be in [1, {n - 1}] for a dataset of {n} games, "
             f"got {spec.train_count}"
         )
@@ -193,12 +185,12 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         order = np.argsort(dataset.dates, kind="stable")
     elif spec.mode == "random":
         if spec.seed is None:
-            raise InvalidSplitError("random mode requires a seed")
+            raise ParameterError("random mode requires a seed")
         if spec.seed < 0:
-            raise InvalidSplitError(f"seed must be nonnegative, got {spec.seed}")
+            raise ParameterError(f"seed must be nonnegative, got {spec.seed}")
         order = np.random.default_rng(spec.seed).permutation(n)
     else:
-        raise InvalidSplitError(f"unknown split mode {spec.mode!r}")
+        raise ParameterError(f"unknown split mode {spec.mode!r}")
     return dataset.subset(order[: spec.train_count]), dataset.subset(order[spec.train_count :])
 
 
@@ -248,11 +240,11 @@ def parse_games(text: str) -> Dataset:
     try:
         header = next(reader)
     except StopIteration:
-        raise EmptyInputError("input is empty") from None
+        raise DataError("input is empty") from None
     header = [c.strip() for c in header]
     missing = [c for c in CSV_COLUMNS if c not in header]
     if missing:
-        raise CsvFormatError(f"missing required column(s): {', '.join(missing)}")
+        raise DataError(f"missing required column(s): {', '.join(missing)}")
     col = {name: header.index(name) for name in CSV_COLUMNS}
 
     columns: dict[str, list] = {name: [] for name in CSV_COLUMNS}
@@ -274,7 +266,7 @@ def parse_games(text: str) -> Dataset:
             columns[name].append(_parse_int(row[col[name]], name, row_num))
         row_nums.append(row_num)
     if not row_nums:
-        raise EmptyInputError("no game rows found")
+        raise DataError("no game rows found")
     numbers = {name + "s": np.array(columns[name], dtype=float) for name in CSV_COLUMNS[3:]}
     bad = _invalid_game(numbers)
     if bad is not None:

@@ -1,5 +1,12 @@
 """Exception and warning types shared across the package, and the helper that
-emits one fallback warning per predicting call."""
+emits one fallback warning per predicting call.
+
+Every error the package raises is a RankMarginError, and the CLI exits 2 on
+any of them. Beyond the base class there are four: ParameterError for a
+value the caller chose, DataError for data that cannot support the
+operation, RowParseError (a DataError) for the CSV row that failed to parse,
+and RankDeficientError, which the LOESS collinear fallback catches.
+"""
 
 import warnings
 
@@ -8,16 +15,20 @@ class RankMarginError(Exception):
     """Base class for every error raised by this package."""
 
 
-class CsvFormatError(RankMarginError):
-    """The CSV file as a whole is unusable (missing columns, bad header)."""
+class ParameterError(RankMarginError, ValueError):
+    """A hyperparameter, flag, split request or model-file value is out of
+    its legal range."""
 
 
-class EmptyInputError(CsvFormatError):
-    """The CSV contained no game rows."""
+class DataError(RankMarginError):
+    """The data cannot support the requested operation: an unusable or empty
+    CSV, too few games or distinct ranks for a fit, no replicated rank pair
+    for pure error, a GAM band from a fit that did not converge, or an SSE
+    that cannot belong to the data."""
 
 
-class RowParseError(CsvFormatError):
-    """A single data row could not be parsed.
+class RowParseError(DataError):
+    """A single CSV data row could not be parsed.
 
     Attributes:
         row: 1-based index of the offending data row (header excluded).
@@ -28,32 +39,8 @@ class RowParseError(CsvFormatError):
         self.row = row
 
 
-class InvalidSplitError(RankMarginError):
-    """A train/validation split request cannot be applied."""
-
-
-class ParameterError(RankMarginError, ValueError):
-    """A hyperparameter or configuration value is out of its legal range."""
-
-
-class DataError(RankMarginError):
-    """The dataset cannot support the requested operation."""
-
-
-class NoReplicationError(DataError):
-    """No rank pair occurs more than once, so pure error is undefined."""
-
-
 class RankDeficientError(RankMarginError):
     """A regression design matrix is numerically rank deficient."""
-
-
-class NotConvergedError(RankMarginError):
-    """An iterative fit did not converge and the result refuses this use."""
-
-
-class InconsistencyError(RankMarginError):
-    """An internal consistency check failed; indicates a bug upstream."""
 
 
 class DegeneratePredictionWarning(UserWarning):

@@ -1,4 +1,4 @@
-"""Model evaluation: RMSE, pure error, lack of fit, cross-validation, benchmark.
+"""Model evaluation: RMSE, pure error, lack of fit, benchmark.
 
 Conventions used throughout (and stated in the report header):
 
@@ -16,14 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, distinct_pairs, fold_splits
-from .errors import (
-    DataError,
-    InconsistencyError,
-    NoReplicationError,
-    ParameterError,
-    RankMarginError,
-)
+from .data import Dataset, distinct_pairs
+from .errors import DataError, ParameterError, RankMarginError
 from .numerics import f_cdf
 
 
@@ -50,14 +44,14 @@ class PureErrorSummary:
 def pure_error(data: Dataset) -> PureErrorSummary:
     """Pure-error decomposition over replicate rank pairs.
 
-    Raises NoReplicationError when every rank pair is unique (df would be 0).
+    Raises DataError when every rank pair is unique (df would be 0).
     """
     n = len(data)
     _, group, counts = distinct_pairs(data.road_ranks, data.home_ranks)
     m = len(counts)
     df_pe = n - m
     if df_pe < 1:
-        raise NoReplicationError("no rank pair occurs more than once")
+        raise DataError("no rank pair occurs more than once")
     movs = data.movs
     dev = movs - (np.bincount(group, movs, m) / counts)[group]  # 0 for a lone game
     # one group after another, in first-occurrence order: the lack-of-fit
@@ -84,7 +78,7 @@ def lack_of_fit(fit_sse: float, n_params: int, data: Dataset) -> LackOfFitResult
     `fit_sse` is the model's training residual sum of squares and `n_params`
     its parameter count. A fit_sse below the pure-error SS (beyond floating
     point slack) is impossible for any function of the rank pair and raises
-    InconsistencyError, since it means the SSE came from somewhere else.
+    DataError, since it means the SSE came from somewhere else.
     """
     pure = pure_error(data)
     m = pure.n_groups
@@ -95,7 +89,7 @@ def lack_of_fit(fit_sse: float, n_params: int, data: Dataset) -> LackOfFitResult
         )
     tol = 1e-8 * max(1.0, pure.ss_pe)
     if fit_sse < pure.ss_pe - tol:
-        raise InconsistencyError(
+        raise DataError(
             f"fit SSE {fit_sse} is below pure-error SS {pure.ss_pe}; "
             "the SSE cannot belong to this data"
         )
@@ -114,24 +108,6 @@ def lack_of_fit(fit_sse: float, n_params: int, data: Dataset) -> LackOfFitResult
         ss_lof=ss_lof,
         ss_pe=pure.ss_pe,
     )
-
-
-def kfold_cv(data: Dataset, k: int, seed: int, kind, params) -> float:
-    """Pooled k-fold cross-validated RMSE on `data` of the `models.Kind` row
-    `kind`, fitted with the smoothing parameters `params`."""
-    n = len(data)
-    total_sq = 0.0
-    for j, (tr_idx, held_out) in enumerate(fold_splits(n, k, seed), start=1):
-        try:
-            fitted = kind.fit(data.subset(tr_idx), params)
-        except Exception as exc:
-            raise RankMarginError(
-                f"model {kind.column!r} failed to fit in fold {j} of {k}: {exc}"
-            ) from exc
-        preds = kind.predict(fitted, data.road_ranks[held_out], data.home_ranks[held_out])
-        err = np.asarray(preds, dtype=float) - data.movs[held_out]
-        total_sq += float(err @ err)
-    return math.sqrt(total_sq / n)
 
 
 PURE_ERROR_COLUMN = "Pure error"
@@ -191,7 +167,7 @@ def benchmark(pairs, kinds, params) -> tuple[dict, list[dict]]:
         def pure_or_none(ds):
             try:
                 return pure_error(ds).rmse_pe
-            except NoReplicationError:
+            except DataError:  # pure_error's only error: no replicated pair
                 return None
 
         train_vals = [pure_or_none(train)]

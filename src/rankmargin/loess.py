@@ -102,11 +102,22 @@ class LoessFit:
         return math.ceil(self.span * len(self.movs))
 
 
+def check_span_grid(values):
+    """The spans `values` as floats, checked: at least one, each in (0, 1]
+    (so finite)."""
+    grid = [float(s) for s in values]
+    if not grid:
+        raise ParameterError("span grid is empty")
+    for s in grid:
+        if not 0.0 < s <= 1.0:
+            raise ParameterError(f"span must be in (0, 1], got {s}")
+    return grid
+
+
 def _check_span(span: float, n: int) -> None:
     """Raise ParameterError unless `span` is in (0, 1] and keeps at least 3
     of `n` points, the fewest a local plane needs."""
-    if not 0.0 < span <= 1.0:
-        raise ParameterError(f"span must be in (0, 1], got {span}")
+    check_span_grid([span])
     if math.ceil(span * n) < 3:
         raise ParameterError(f"span {span} keeps fewer than 3 of {n} points")
 
@@ -323,9 +334,7 @@ def select_span_cv(
     rmse pools squared errors over all folds before the square root. Ties
     break toward the larger span.
     """
-    grid = [float(s) for s in (DEFAULT_SPAN_GRID if span_grid is None else span_grid)]
-    if not grid:
-        raise ParameterError("span grid is empty")
+    grid = check_span_grid(DEFAULT_SPAN_GRID if span_grid is None else span_grid)
     n = len(train)
     splits = fold_splits(n, folds, seed)
     smallest_train = min(len(tr) for tr, _ in splits)

@@ -15,9 +15,9 @@
     from_payload  that object -> fitted model; every number and array is
                   checked, and a malformed payload raises
 
-`evaluate.benchmark`, `evaluate.kfold_cv` and the CLI's `fit`, `predict` and
-model-file loading iterate this table or take rows of it; no other code
-branches on a kind. The model-file format is defined here.
+`evaluate.benchmark` and the CLI's `fit`, `predict` and model-file loading
+iterate this table or take rows of it; no other code branches on a kind.
+The model-file format is defined here.
 
 Row callables call the fit and predict functions through this module's
 global names rather than holding the function objects, so that a tracer that

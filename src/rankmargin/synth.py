@@ -83,7 +83,10 @@ def generate_synthetic(
         )
 
     road_scores = 70.0 + np.maximum(mov, 0.0)
-    teams = np.char.add("T", np.char.zfill(ranks.astype(str), 3))
+    # one name per distinct rank, shared by every game at that rank
+    distinct, which = np.unique(ranks, return_inverse=True)
+    names = np.array([f"T{r:03d}" for r in distinct], dtype=object)
+    teams = names[which.reshape(ranks.shape)]
     return Dataset(
         dates=_START_DATE + np.arange(n) // _GAMES_PER_DAY,
         home_teams=teams[:, 1],

@@ -114,6 +114,22 @@ def kernel_loo_rmse_reference(road, home, movs, sigma: float) -> float:
     return math.sqrt(math.fsum(errors) / n)
 
 
+def kfold_cv_reference(data, k: int, seed: int, kind, params) -> float:
+    """Pooled k-fold cross-validated RMSE of the `models.Kind` row `kind`
+    fitted with `params`: one fit per fold on the games outside it, every
+    squared error summed exactly. The folds are the package's partition, a
+    seeded permutation of the positions cut into k consecutive chunks."""
+    n = len(data)
+    errors = []
+    for held_out in np.array_split(np.random.default_rng(seed).permutation(n), k):
+        out = set(held_out.tolist())
+        rest = [i for i in range(n) if i not in out]
+        fitted = kind.fit(data.subset(rest), params)
+        preds = kind.predict(fitted, data.road_ranks[held_out], data.home_ranks[held_out])
+        errors += [(float(p) - float(y)) ** 2 for p, y in zip(preds, data.movs[held_out])]
+    return math.sqrt(math.fsum(errors) / n)
+
+
 # ---------------------------------------------------------------------------
 # F distribution by quadrature
 

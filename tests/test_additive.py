@@ -13,7 +13,7 @@ from rankmargin.additive import (
     predict_additive_arrays,
 )
 from rankmargin.data import SplitSpec, split
-from rankmargin.errors import DataError, NotConvergedError, ParameterError
+from rankmargin.errors import DataError, ParameterError
 from rankmargin.evaluate import rmse
 from rankmargin.numerics import SplineSmoother, evaluate_smooth, evaluation_weights
 from rankmargin.quadratic import fit_quadratic, predict_quadratic_arrays
@@ -111,7 +111,7 @@ def test_non_convergence_flag_and_band_refusal(monkeypatch):
     fit = fit_additive(data)
     assert not fit.converged
     assert fit.iterations_used == 1
-    with pytest.raises(NotConvergedError):
+    with pytest.raises(DataError, match="confidence bands require a converged fit"):
         component_band(fit, "road", np.arange(1.0, 41.0))
 
 

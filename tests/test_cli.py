@@ -875,16 +875,25 @@ def test_flags_survive_edge_values(flag_fuzz_paths, command, data, tuned, model)
             assert math.isfinite(float(token)), (argv, out)
 
 
+_BANDWIDTH = "grid entries must be finite and > 0"
+
+
 @pytest.mark.parametrize(
-    "model, flags",
+    "model, flags, message",
     [
-        ("loess", ["--sigma-grid", "nan"]),
-        ("kernel-iso", ["--sigma-x-grid", "0"]),
-        ("kernel-aniso", ["--sigma-grid", "1e-200"]),
+        ("loess", ["--sigma-grid", "nan"], _BANDWIDTH),
+        ("kernel-iso", ["--sigma-x-grid", "0"], _BANDWIDTH),
+        ("kernel-aniso", ["--sigma-grid", "1e-200"], _BANDWIDTH),
+        ("kernel-iso", ["--span-grid", "nan"], "span must be in (0, 1], got nan"),
+        ("kernel-aniso", ["--span-grid", "0"], "span must be in (0, 1], got 0.0"),
+        ("kernel-iso", ["--span-grid", "0.5,5"], "span must be in (0, 1], got 5.0"),
+        ("kernel-aniso", ["--span-grid", ","], "span grid is empty"),
     ],
+    ids=["loess-flags0", "kernel-iso-flags1", "kernel-aniso-flags2",
+         "span-nan", "span-zero", "span-five", "span-empty"],
 )
 def test_tune_checks_every_bandwidth_grid_given(games_csv, tmp_path, capsys, monkeypatch,
-                                                model, flags):
+                                                model, flags, message):
     # a grid the model does not search is still checked, before any tuning
     def tuning(*args, **kwargs):
         raise AssertionError("tuning started before the flags were checked")
@@ -894,7 +903,7 @@ def test_tune_checks_every_bandwidth_grid_given(games_csv, tmp_path, capsys, mon
     argv = ["tune", "--input", str(games_csv), "--model", model, *flags, "--out-dir", str(tmp_path)]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert "grid entries must be finite and > 0" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 

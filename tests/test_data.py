@@ -20,15 +20,7 @@ from rankmargin.data import (
     split,
     write_games,
 )
-from rankmargin.errors import (
-    CsvFormatError,
-    DataError,
-    EmptyInputError,
-    InvalidSplitError,
-    ParameterError,
-    RankRangeWarning,
-    RowParseError,
-)
+from rankmargin.errors import DataError, ParameterError, RankRangeWarning, RowParseError
 from rankmargin.synth import generate_synthetic
 
 import oracles
@@ -131,16 +123,16 @@ def test_parse_bad_date_names_row():
 
 
 def test_parse_missing_columns():
-    with pytest.raises(CsvFormatError) as err:
+    with pytest.raises(DataError, match="missing required column") as err:
         parse_games("date,home_team,road_team\n2015-01-10,A,B\n")
     msg = str(err.value)
     assert "home_rank" in msg and "road_score" in msg
 
 
 def test_parse_empty_input():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(DataError, match="^input is empty$"):
         parse_games("")
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(DataError, match="^no game rows found$"):
         parse_games(HEADER)
 
 
@@ -327,13 +319,13 @@ def test_split_preserves_games():
 
 def test_split_errors():
     data = generate_synthetic(10, seed=5)
-    with pytest.raises(InvalidSplitError):
+    with pytest.raises(ParameterError, match=r"train_count must be in \[1, 9\].*got 10$"):
         split(data, SplitSpec(train_count=10))
-    with pytest.raises(InvalidSplitError):
+    with pytest.raises(ParameterError, match=r"train_count must be in \[1, 9\].*got 0$"):
         split(data, SplitSpec(train_count=0))
-    with pytest.raises(InvalidSplitError):
+    with pytest.raises(ParameterError, match="unknown split mode 'alphabetical'"):
         split(data, SplitSpec(train_count=5, mode="alphabetical"))
-    with pytest.raises(InvalidSplitError):
+    with pytest.raises(ParameterError, match="random mode requires a seed"):
         split(data, SplitSpec(train_count=5, mode="random"))  # no seed
 
 
