@@ -15,9 +15,9 @@ responses to the centered component estimate at g.
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
 
-from dataclasses import dataclass, replace
+import numpy as np
 
 from .data import Dataset
 from .errors import DataError, ParameterError
@@ -50,11 +50,6 @@ def _response_scale(y: np.ndarray) -> float:
     return scale if scale > 0.0 else 1.0
 
 
-def _centered(sf: SmoothFunction, shift: float) -> SmoothFunction:
-    # shifting a spline by a constant leaves second derivatives untouched
-    return replace(sf, values=sf.values - shift)
-
-
 def fit_additive(train: Dataset, df_per_term: float = 4.0) -> AdditiveFit:
     """Backfit the two-component additive model.
 
@@ -68,39 +63,37 @@ def fit_additive(train: Dataset, df_per_term: float = 4.0) -> AdditiveFit:
     if n < _MIN_GAMES:
         raise DataError(f"need at least {_MIN_GAMES} games to backfit, got {n}")
     y = train.movs
-    smoother_r = SplineSmoother(train.road_ranks)
-    smoother_h = SplineSmoother(train.home_ranks)
-    lam_r = smoother_r.lambda_for_df(df_per_term)
-    lam_h = smoother_h.lambda_for_df(df_per_term)
+    smoothers = (SplineSmoother(train.road_ranks), SplineSmoother(train.home_ranks))
+    lams = [smoother.lambda_for_df(df_per_term) for smoother in smoothers]
 
     mu = float(y.mean())
-    fr_at_train = np.zeros(n)
-    fh_at_train = np.zeros(n)
-    sf_r = sf_h = None
+    at_train = [np.zeros(n), np.zeros(n)]  # each component at the training games
+    solved = [None, None]  # each component's centered knot values and second derivatives
     scale = _response_scale(y)
     fitted_prev = np.full(n, mu)
     converged = False
     iterations_used = 0
     for iterations_used in range(1, _MAX_ITERATIONS + 1):
-        sf_r = smoother_r.smooth(y - mu - fh_at_train, lam_r)
-        fr_at_train = sf_r.values[smoother_r.group_index]
-        shift_r = float(fr_at_train.mean())
-        fr_at_train = fr_at_train - shift_r
-        sf_r = _centered(sf_r, shift_r)
+        for k, (smoother, lam) in enumerate(zip(smoothers, lams)):
+            values, gamma = smoother.solve(smoother.average(y - mu - at_train[1 - k]), lam)
+            values_at_train = values[smoother.group_index]
+            # shifting a spline by a constant leaves its second derivatives untouched
+            shift = float(values_at_train.mean())
+            at_train[k] = values_at_train - shift
+            solved[k] = values - shift, gamma
 
-        sf_h = smoother_h.smooth(y - mu - fr_at_train, lam_h)
-        fh_at_train = sf_h.values[smoother_h.group_index]
-        shift_h = float(fh_at_train.mean())
-        fh_at_train = fh_at_train - shift_h
-        sf_h = _centered(sf_h, shift_h)
-
-        fitted = mu + fr_at_train + fh_at_train
+        fitted = mu + at_train[0] + at_train[1]
         delta = float(np.max(np.abs(fitted - fitted_prev)))
         fitted_prev = fitted
         if delta <= _TOLERANCE * scale:
             converged = True
             break
 
+    sf_r, sf_h = (
+        SmoothFunction(knots=smoother.knots, values=values, second_derivatives=gamma, lam=lam,
+                       effective_df=smoother.trace(lam), knot_weights=smoother.knot_weights)
+        for smoother, lam, (values, gamma) in zip(smoothers, lams, solved)
+    )
     resid = y - fitted_prev
     # model df: the constant plus each component net of its own constant
     model_df = 1.0 + (sf_r.effective_df - 1.0) + (sf_h.effective_df - 1.0)
@@ -162,7 +155,7 @@ def component_band(fit: AdditiveFit, which_term: str, grid):
     smoother = SplineSmoother(sf.knots, sf.knot_weights)
     w = sf.knot_weights
     rows = evaluation_weights(sf.knots, grid) - w / w.sum()
-    rho = smoother.fitted_values(rows / w, sf.lam) * w
+    rho = smoother.solve(rows / w, sf.lam)[0] * w
     # Var(group mean k) = sigma^2 / w_k under unit-weight training games
     se = fit.sigma_hat * np.sqrt(np.sum(rho * rho / w, axis=1))
     estimate = evaluate_smooth(sf, grid)

@@ -235,8 +235,9 @@ def parse_games(text: str) -> Dataset:
     ignored). Dates must be ISO (YYYY-MM-DD); ranks and scores must be
     integers of magnitude at most 2**53, ranks >= 1 and scores >= 0. Ranks
     above 351 are accepted with a RankRangeWarning. Row order is preserved.
+    One leading UTF-8 byte order mark, as spreadsheet exports write, is dropped.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
         header = next(reader)
     except StopIteration:

@@ -20,6 +20,18 @@ It is assembled from elementwise stencils and factored by banded Cholesky,
 so a fit is O(m), forms no m x m matrix and makes no BLAS matrix product:
 its bits do not depend on the BLAS thread count.
 
+A fitted spline is evaluated by one formula. On the knot interval
+[u_i, u_{i+1}] of length h, with t1 = u_{i+1} - x and t2 = x - u_i,
+
+    f(x) = (t1 f_i + t2 f_{i+1}) / h
+           + (t1^3 - h^2 t1) gamma_i / (6h) + (t2^3 - h^2 t2) gamma_{i+1} / (6h).
+
+Beyond the boundary knots the cubic terms t^3 drop, so the curve continues
+linearly (gamma is 0 at both boundary knots). At a knot the weights of f are
+exactly 1 and 0, and with integer spacings those of gamma are exactly 0, so
+the knot value comes back unchanged. The same weights, with the interior gamma written as R^{-1} Q' f,
+give the value as a linear map of the knot values (`evaluation_weights`).
+
 Smoothness is parameterized by effective degrees of freedom: the trace of the
 smoother matrix S(lam) = I - lam W^{-1} Q B^{-1} Q', which runs from m
 (interpolation, lam = 0) down to 2 (weighted linear fit, lam -> infinity).
@@ -135,38 +147,26 @@ class SmoothFunction:
     knot_weights: np.ndarray
 
 
+def _interval_weights(knots: np.ndarray, xs: np.ndarray):
+    """Each query's knot interval i and the weights of f[i], f[i+1], gamma[i]
+    and gamma[i+1] in the spline's value there, for knot values f and second
+    derivatives gamma. Beyond the boundary knots the cubic terms drop, so the
+    curve continues linearly."""
+    i = np.clip(np.searchsorted(knots, xs, side="right") - 1, 0, len(knots) - 2)
+    h = knots[i + 1] - knots[i]
+    t1, t2 = knots[i + 1] - xs, xs - knots[i]
+    inside = (xs >= knots[0]) & (xs <= knots[-1])
+    c1, c2 = np.where(inside, t1, 0.0), np.where(inside, t2, 0.0)
+    return i, t1 / h, t2 / h, c1**3 / (6.0 * h) - h * t1 / 6.0, c2**3 / (6.0 * h) - h * t2 / 6.0
+
+
 def evaluate_smooth(sf: SmoothFunction, x):
     """Evaluate a SmoothFunction at scalar or array `x`."""
-    u, f, g = sf.knots, sf.values, sf.second_derivatives
     xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    m = len(u)
-    out = np.empty_like(xs)
-
-    h0 = u[1] - u[0]
-    h_last = u[-1] - u[-2]
-    slope_left = (f[1] - f[0]) / h0 - h0 * g[1] / 6.0
-    slope_right = (f[-1] - f[-2]) / h_last + h_last * g[-2] / 6.0
-
-    left = xs < u[0]
-    right = xs > u[-1]
-    mid = ~(left | right)
-    out[left] = f[0] + slope_left * (xs[left] - u[0])
-    out[right] = f[-1] + slope_right * (xs[right] - u[-1])
-
-    if np.any(mid):
-        xm = xs[mid]
-        i = np.clip(np.searchsorted(u, xm, side="right") - 1, 0, m - 2)
-        h = u[i + 1] - u[i]
-        t1 = u[i + 1] - xm
-        t2 = xm - u[i]
-        out[mid] = (
-            (g[i] * t1**3 + g[i + 1] * t2**3) / (6.0 * h)
-            + (f[i] / h - g[i] * h / 6.0) * t1
-            + (f[i + 1] / h - g[i + 1] * h / 6.0) * t2
-        )
-    return float(out[0]) if scalar else out
+    i, a1, a2, b1, b2 = _interval_weights(sf.knots, np.atleast_1d(xs))
+    f, g = sf.values, sf.second_derivatives
+    out = a1 * f[i] + a2 * f[i + 1] + b1 * g[i] + b2 * g[i + 1]
+    return float(out[0]) if xs.ndim == 0 else out
 
 
 def _knot_bands(knots: np.ndarray):
@@ -207,19 +207,12 @@ def evaluation_weights(knots: np.ndarray, xs) -> np.ndarray:
     """
     u = np.asarray(knots, dtype=float)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    m, rows = len(u), np.arange(len(xs))
-    i = np.clip(np.searchsorted(u, xs, side="right") - 1, 0, m - 2)
-    h = u[i + 1] - u[i]
-    t1, t2 = u[i + 1] - xs, xs - u[i]
-    # beyond the boundary knots the curve is linear: the cubic terms drop
-    inside = (xs >= u[0]) & (xs <= u[-1])
-    c1, c2 = np.where(inside, t1, 0.0), np.where(inside, t2, 0.0)
-    alpha = np.zeros((len(xs), m))
-    alpha[rows, i] = t1 / h
-    alpha[rows, i + 1] = t2 / h
-    beta = np.zeros((len(xs), m))  # coefficients of the knots' second derivatives
-    beta[rows, i] = c1**3 / (6.0 * h) - h * t1 / 6.0
-    beta[rows, i + 1] = c2**3 / (6.0 * h) - h * t2 / 6.0
+    i, a1, a2, b1, b2 = _interval_weights(u, xs)
+    rows = np.arange(len(xs))
+    alpha = np.zeros((len(xs), len(u)))
+    alpha[rows, i], alpha[rows, i + 1] = a1, a2
+    beta = np.zeros((len(xs), len(u)))  # coefficients of the knots' second derivatives
+    beta[rows, i], beta[rows, i + 1] = b1, b2
     # the boundary second derivatives are 0 and the interior ones R^{-1} Q' f
     q, r = _knot_bands(u)
     return alpha + _q_times(q, scipy.linalg.solveh_banded(r, beta[:, 1:-1].T, lower=True).T)
@@ -342,13 +335,10 @@ class SplineSmoother:
                 break
         return math.exp(0.5 * (log_lo + log_hi))
 
-    def fitted_values(self, ybar: np.ndarray, lam: float) -> np.ndarray:
-        """S(lam) ybar: the fitted knot values for group means `ybar`, along
-        its last axis (one row per response for a 2-D `ybar`)."""
-        return self._solve(ybar, lam)[0]
-
-    def _solve(self, ybar: np.ndarray, lam: float):
-        """Fitted knot values and second derivatives (0 at the boundary knots)."""
+    def solve(self, ybar: np.ndarray, lam: float):
+        """Fitted knot values and second derivatives (0 at the boundary knots)
+        for group means `ybar`, along its last axis (one row per response for
+        a 2-D `ybar`)."""
         gamma = np.zeros(ybar.shape)
         if math.isinf(lam):
             return self._linear_fit(ybar), gamma
@@ -366,7 +356,7 @@ class SplineSmoother:
 
     def smooth(self, y, lam: float) -> SmoothFunction:
         """Fit at a fixed smoothing parameter; `y` has one entry per site."""
-        values, gamma = self._solve(self.average(y), lam)
+        values, gamma = self.solve(self.average(y), lam)
         return SmoothFunction(
             knots=self.knots.copy(),
             values=values,

@@ -42,6 +42,15 @@ def test_ingest_summarizes(games_csv, capsys):
     assert "pure-error RMSE:" in out and " df" in out
 
 
+def test_ingest_accepts_a_byte_order_mark(tmp_path, capsys):
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + SAMPLE.read_bytes())
+    assert cli.main(["ingest", "--input", str(SAMPLE)]) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(["ingest", "--input", str(marked)]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_ingest_missing_file(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     assert cli.main(["ingest", "--input", str(missing)]) == 2

@@ -1,5 +1,6 @@
 """CSV ingestion, the columnar Dataset, coordinate rotation, and splitting."""
 
+import dataclasses
 import datetime
 import math
 
@@ -139,6 +140,15 @@ def test_parse_empty_input():
 def test_parse_skips_blank_lines():
     text = HEADER + "\n2015-01-10,A,B,100,50,70,65\n\n"
     assert len(parse_games(text)) == 1
+
+
+def test_parse_drops_one_leading_byte_order_mark():
+    text = HEADER + "2015-01-10,A,B,100,50,70,65\n2015-01-11,C,D,3,7,60,61\n"
+    plain, marked = parse_games(text), parse_games("\ufeff" + text)
+    for f in dataclasses.fields(Dataset):
+        np.testing.assert_array_equal(getattr(marked, f.name), getattr(plain, f.name))
+    with pytest.raises(DataError, match="missing required column"):
+        parse_games("\ufeff\ufeff" + text)
 
 
 def test_parse_oversized_rank_warns_once():

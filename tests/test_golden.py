@@ -1,7 +1,8 @@
-"""Golden outputs: the CLI's files and printouts on the sample season.
+"""Golden outputs: the CLI's files and printouts on two seasons.
 
 `tests/golden/` holds the outputs of the commands in COMMANDS on
-`sample_data/games_sample.csv`. The test reruns every command in a
+`sample_data/games_sample.csv` and on a seeded `synth` season at rank_max
+100, whose GAM band grid holds ranks absent from training. The test reruns every command in a
 subprocess with one BLAS thread and compares each output with its golden
 copy: text exactly, numbers within 1e-12 relative. Outputs that only copy
 input values (the split CSVs and the lazy smoothers' model files) are
@@ -40,9 +41,15 @@ COMMANDS = [
     ("ingest", ["ingest", "--input", SAMPLE], "ingest.txt"),
     ("split", ["split", "--input", SAMPLE, "--split", "random", "--seed", "3",
                "--train-count", "600", "--out-dir", "{out}/split"], None),
+    ("synth", ["synth", "--n", "400", "--rank-max", "100", "--seed", "5",
+               "--out", "{out}/season/games.csv"], None),
+    ("season report", ["report", "--input", "{out}/season/games.csv", "--partitions", "3",
+                       "--folds", "5", "--span-grid", "0.3,0.5", "--sigma-grid", "12,19,30",
+                       "--sigma-x-grid", "30,60", "--sigma-y-grid", "8,16",
+                       "--out-dir", "{out}/season/report"], None),
 ]
 HASHED = ["fit/loess.json", "fit/kernel-iso.json", "fit/kernel-aniso.json",
-          "split/train.csv", "split/valid.csv"]
+          "split/train.csv", "split/valid.csv", "season/games.csv"]
 RTOL = 1e-12
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")

@@ -287,6 +287,15 @@ class TestEvaluation:
         f = _fit(x, y, w, 5.0)
         np.testing.assert_allclose(evaluate_smooth(f, x), f.values, atol=1e-12)
 
+    def test_exact_knot_values_at_integer_knots(self):
+        # integer spacings make the weights at a knot exactly 1 and 0
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            x = np.cumsum(rng.integers(1, 7, rng.integers(4, 40))).astype(float)
+            y = rng.normal(0.0, 10.0, len(x))
+            f = _fit(x, y, rng.uniform(0.5, 3.0, len(x)), rng.uniform(2.5, len(x)))
+            assert np.array_equal(evaluate_smooth(f, x), f.values)
+
     def test_matches_natural_spline_oracle(self):
         x, y, w = _noisy_sites(11)
         f = _fit(x, y, w, 6.0)
