@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 internal error, 2 usage/config/data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -361,6 +362,7 @@ def _add_tuning_flags(p) -> None:
     p.add_argument("--out-dir", required=True)
 
 
+@functools.cache  # main parses every argv of a process with one parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rankmargin",

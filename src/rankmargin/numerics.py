@@ -354,18 +354,6 @@ class SplineSmoother:
         slope = np.sum(w * du * (ybar - ybar_w), axis=-1, keepdims=True) / np.sum(w * du * du)
         return ybar_w + slope * du
 
-    def smooth(self, y, lam: float) -> SmoothFunction:
-        """Fit at a fixed smoothing parameter; `y` has one entry per site."""
-        values, gamma = self.solve(self.average(y), lam)
-        return SmoothFunction(
-            knots=self.knots.copy(),
-            values=values,
-            second_derivatives=gamma,
-            lam=lam,
-            effective_df=self.trace(lam),
-            knot_weights=self.knot_weights.copy(),
-        )
-
 
 def f_cdf(value: float, df1: float, df2: float) -> float:
     """CDF of the F distribution via the regularized incomplete beta function.

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through cli.main plus console-script smoke tests."""
 
+import argparse
 import contextlib
 import copy
 import io
@@ -927,6 +928,72 @@ def test_report_sigma_flag_is_ambiguous(games_csv, tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     assert cli.main(["bogus-command"]) == 2
     capsys.readouterr()
+
+
+def _run(argv, capsys):
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_main_builds_the_parser_once(games_csv, tmp_path, capsys, monkeypatch):
+    model_file = tmp_path / "quadratic.json"
+    argvs = [
+        ["ingest", "--input", str(games_csv)],
+        ["split", "--input", str(games_csv), "--train-count", "180", "--out-dir", str(tmp_path)],
+        ["fit", "--input", str(games_csv), "--model", "quadratic", "--out", str(model_file)],
+        ["predict", "--model-file", str(model_file), "--road-rank", "5", "--home-rank", "20"],
+        ["tune", "--input", str(games_csv), "--model", "kernel-iso", "--sigma-grid", "6",
+         "--out-dir", str(tmp_path)],
+        ["synth", "--n", "30", "--rank-max", "10", "--out", str(tmp_path / "g.csv")],
+        ["bogus-command"],
+        ["--help"],
+    ]
+    cli._build_parser.cache_clear()
+    constructed = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    codes = [_run(argv, capsys)[0] for argv in argvs]
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 0]
+    # the first call builds the top-level parser and its seven subcommands
+    assert constructed[0] == "rankmargin" and len(constructed) == 8
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(argvs) - 1)
+
+
+def test_reused_parser_gives_the_output_of_a_fresh_one(tmp_path, capsys):
+    model_file = tmp_path / "quad.json"
+    payload = {"beta0": -5.8, "beta_r": -0.074, "beta_h": 0.10, "beta_rr": 4.7e-5,
+               "beta_hh": -1.2e-4, "sigma_hat": 11.5, "n_train": 4518}
+    model_file.write_text(json.dumps({"schema_version": 1, "model": "quadratic",
+                                      "payload": payload}))
+    good = ["predict", "--model-file", str(model_file), "--road-rank", "100", "--home-rank", "100"]
+    argvs = [
+        good,
+        [*good, "--no-such-flag"],
+        ["predict", "--help"],
+        ["predict", "--model-file", str(tmp_path / "absent.json"), "--road-rank", "1",
+         "--home-rank", "2"],
+        good,
+    ]
+    cli._build_parser.cache_clear()
+    reused = [_run(argv, capsys) for argv in argvs]  # one parser for the whole sequence
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(_run(argv, capsys))
+    assert reused == fresh
+    assert [rc for rc, _, _ in reused] == [0, 2, 0, 2, 0]
+    assert "= -3.93" in reused[0][1] and reused[4] == reused[0]
+    assert reused[1][2].startswith("usage: rankmargin") and "--no-such-flag" in reused[1][2]
+    assert reused[2][1].startswith("usage: rankmargin predict") and reused[2][2] == ""
+    assert reused[3][2].startswith("error: model file not found")
 
 
 def test_console_script_installed(tmp_path):

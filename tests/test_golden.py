@@ -8,9 +8,15 @@ copy: text exactly, numbers within 1e-12 relative. Outputs that only copy
 input values (the split CSVs and the lazy smoothers' model files) are
 checked by their SHA-256 in `golden/manifest.json`.
 
-To rewrite the golden files after a deliberate change of output:
+To rewrite the golden files of some commands after a deliberate change of
+their output, name them (`python tests/test_golden.py` alone lists the names):
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_golden.py
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_golden.py ingest "season report"
+
+Every command still runs, since `season report` reads `synth`'s CSV, but only
+the named commands' files and manifest hashes are rewritten: the GAM's last
+digits depend on the CPU's BLAS kernels, so a full rewrite would move them in
+files whose command did not change.
 """
 
 from __future__ import annotations
@@ -55,17 +61,26 @@ RTOL = 1e-12
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
 
 
-def run_commands(out: Path) -> None:
-    """Run COMMANDS into `out`, one BLAS thread, the package under src/."""
+def run_commands(out: Path) -> dict[str, list[str]]:
+    """Run COMMANDS into `out`, one BLAS thread, the package under src/, and
+    return the files each command wrote, relative to `out`."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    written = {}
     for name, argv, stdout_file in COMMANDS:
+        before = set(_files(out))
         argv = [a.replace("{out}", str(out)) for a in argv]
         proc = subprocess.run([sys.executable, "-m", "rankmargin", *argv], cwd=ROOT, env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, f"{name} exited {proc.returncode}:\n{proc.stderr}"
         if stdout_file:
             (out / stdout_file).write_text(proc.stdout)
+        written[name] = sorted(set(_files(out)) - before)
+    return written
+
+
+def _files(root: Path) -> list[str]:
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
 
 
 def _sha256(path: Path) -> str:
@@ -73,8 +88,7 @@ def _sha256(path: Path) -> str:
 
 
 def _compared_files(root: Path) -> list[str]:
-    names = sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
-    return [n for n in names if n not in HASHED and n != "manifest.json"]
+    return [n for n in _files(root) if n not in HASHED and n != "manifest.json"]
 
 
 def _same_number(a: str, b: str) -> bool:
@@ -117,13 +131,46 @@ def test_mismatch_reads_numbers():
     assert mismatch("x nan", "x nan") is None
 
 
-if __name__ == "__main__":
+def test_regenerate_needs_known_names(capsys):
+    assert regenerate([]) == 0
+    assert "'season report'" in capsys.readouterr().out
+    assert regenerate(["ingest", "nope"]) == 2
+    assert "unknown command 'nope'" in capsys.readouterr().err
+
+def regenerate(names: list[str]) -> int:
+    """Rewrite the golden files and manifest hashes of the named commands."""
+    known = [name for name, _, _ in COMMANDS]
+    if not names:
+        print("usage: python tests/test_golden.py NAME [NAME ...]; names:",
+              ", ".join(repr(name) for name in known))
+        return 0
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown command {unknown[0]!r}; names: {', '.join(map(repr, known))}",
+              file=sys.stderr)
+        return 2
+    manifest = json.loads((GOLDEN / "manifest.json").read_text())
+    changed = [name for name, argv, _ in COMMANDS
+               if name not in names and argv not in manifest["commands"]]
+    if changed:
+        print(f"{changed[0]!r} changed since its golden files were written; name it too",
+              file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        run_commands(out)
-        for name in _compared_files(out):
-            (GOLDEN / name).parent.mkdir(parents=True, exist_ok=True)
-            (GOLDEN / name).write_text((out / name).read_text())
-        doc = {"commands": [argv for _, argv, _ in COMMANDS],
-               "sha256": {name: _sha256(out / name) for name in HASHED}}
-        (GOLDEN / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
+        written = run_commands(out)
+        for name in names:
+            for rel in written[name]:
+                if rel in HASHED:
+                    manifest["sha256"][rel] = _sha256(out / rel)
+                else:
+                    (GOLDEN / rel).parent.mkdir(parents=True, exist_ok=True)
+                    (GOLDEN / rel).write_text((out / rel).read_text())
+    doc = {"commands": [argv for _, argv, _ in COMMANDS],
+           "sha256": {rel: manifest["sha256"][rel] for rel in HASHED}}
+    (GOLDEN / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate(sys.argv[1:]))

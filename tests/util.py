@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from rankmargin.data import Dataset
+from rankmargin.numerics import SmoothFunction, SplineSmoother
 
 
 def make_dataset(road_ranks, home_ranks, movs, dates=None) -> Dataset:
@@ -28,3 +29,12 @@ def make_dataset(road_ranks, home_ranks, movs, dates=None) -> Dataset:
         home_scores=road_scores - movs,
         road_scores=road_scores,
     )
+
+
+def spline_fit(sm: SplineSmoother, y, lam: float) -> SmoothFunction:
+    """The smoothing spline of `sm` through the full-length response `y` at
+    smoothing parameter `lam`."""
+    values, gamma = sm.solve(sm.average(y), lam)
+    return SmoothFunction(knots=sm.knots.copy(), values=values, second_derivatives=gamma,
+                          lam=lam, effective_df=sm.trace(lam),
+                          knot_weights=sm.knot_weights.copy())
