@@ -131,12 +131,6 @@ def test_mismatch_reads_numbers():
     assert mismatch("x nan", "x nan") is None
 
 
-def test_regenerate_needs_known_names(capsys):
-    assert regenerate([]) == 0
-    assert "'season report'" in capsys.readouterr().out
-    assert regenerate(["ingest", "nope"]) == 2
-    assert "unknown command 'nope'" in capsys.readouterr().err
-
 def regenerate(names: list[str]) -> int:
     """Rewrite the golden files and manifest hashes of the named commands."""
     known = [name for name, _, _ in COMMANDS]
@@ -170,6 +164,13 @@ def regenerate(names: list[str]) -> int:
            "sha256": {rel: manifest["sha256"][rel] for rel in HASHED}}
     (GOLDEN / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
     return 0
+
+
+def test_regenerate_needs_known_names(capsys):
+    assert regenerate([]) == 0
+    assert "'season report'" in capsys.readouterr().out
+    assert regenerate(["ingest", "nope"]) == 2
+    assert "unknown command 'nope'" in capsys.readouterr().err
 
 
 if __name__ == "__main__":
