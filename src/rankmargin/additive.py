@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, ParameterError
-from .numerics import SmoothFunction, SplineSmoother, evaluate_smooth, evaluation_weights
+from .numerics import SmoothFunction, SplineSmoother, check_df, evaluate_smooth, evaluation_weights
 
 _MIN_GAMES = 10
 # convergence: see fit_additive
@@ -64,6 +64,7 @@ def fit_additive(train: Dataset, df_per_term: float = 4.0) -> AdditiveFit:
         raise DataError(f"need at least {_MIN_GAMES} games to backfit, got {n}")
     y = train.movs
     smoothers = (SplineSmoother(train.road_ranks), SplineSmoother(train.home_ranks))
+    check_df(df_per_term, train.road_ranks, train.home_ranks)
     lams = [smoother.lambda_for_df(df_per_term) for smoother in smoothers]
 
     mu = float(y.mean())
@@ -108,17 +109,6 @@ def fit_additive(train: Dataset, df_per_term: float = 4.0) -> AdditiveFit:
         converged=converged,
         n_train=n,
     )
-
-
-def check_df_per_term(train: Dataset, df_per_term: float) -> None:
-    """Raise ParameterError unless `fit_additive` accepts `df_per_term` on
-    `train`: it must lie in [2, m], m the fewer distinct ranks of the two
-    axes (the same limit `SplineSmoother.lambda_for_df` enforces)."""
-    m = min(len(np.unique(train.road_ranks)), len(np.unique(train.home_ranks)))
-    if not 2.0 <= df_per_term <= m + 1e-9:
-        raise ParameterError(
-            f"df per term must be in [2, {m}] for {m} distinct ranks, got {df_per_term}"
-        )
 
 
 def predict_additive(fit: AdditiveFit, road_rank: float, home_rank: float) -> float:

@@ -30,12 +30,13 @@ from . import models
 # perfbench/spans.py wraps fit_additive, fit_quadratic, predict_additive,
 # predict_kernel, predict_loess and predict_quadratic by these names, so they
 # stay imported; fit, predict and report call them through models.KINDS
-from .additive import check_df_per_term, component_band, fit_additive, predict_additive
+from .additive import component_band, fit_additive, predict_additive
 from .data import Dataset, SplitSpec, distinct_pairs, parse_games, split, write_games
 from .errors import ParameterError, RankMarginError
 from .evaluate import benchmark, lack_of_fit, pure_error, table_text
 from .kernel import bandwidth_grid, predict_kernel, select_aniso_cv, select_sigma_loo
 from .loess import check_span_grid, predict_loess, select_span_cv
+from .numerics import check_df
 from .quadratic import fit_quadratic, predict_quadratic, predict_quadratic_arrays, studentized_residuals
 from .synth import DEFAULT_COEFFICIENTS, generate_synthetic
 
@@ -234,24 +235,18 @@ def cmd_tune(args) -> int:
 
 def cmd_report(args) -> int:
     data = _read_dataset(args.input)
-    n = len(data)
-    train_count = args.train_count if args.train_count is not None else max(1, round(0.75 * n))
-    if not 0 < train_count < n:
-        raise ParameterError(f"--train-count must be in [1, {n - 1}], got {train_count}")
+    train_count = max(1, round(0.75 * len(data))) if args.train_count is None else args.train_count
     if args.partitions < 1:
         raise ParameterError(f"--partitions must be >= 1, got {args.partitions}")
     out_dir = Path(args.out_dir)
 
+    first_mode = "chronological" if args.split == "chrono" else args.split
     pairs = []
-    for j in range(1, args.partitions + 1):
-        if j == 1:
-            mode = "chronological" if args.split == "chrono" else args.split
-            spec = SplitSpec(train_count=train_count, mode=mode, seed=args.seed)
-        else:
-            spec = SplitSpec(train_count=train_count, mode="random", seed=args.seed + j - 1)
+    for j in range(args.partitions):  # split rejects a bad --seed at j = 0, as given
+        spec = SplitSpec(train_count, first_mode if j == 0 else "random", args.seed + j)
         pairs.append(split(data, spec))
     for train, _ in pairs:  # before any tuning, which takes most of a report
-        check_df_per_term(train, args.df)
+        check_df(args.df, train.road_ranks, train.home_ranks)
     # Smoothing parameters are tuned on the first training set and reused
     # everywhere, mirroring how the benchmark protocol treats them.
     tune_train = pairs[0][0]

@@ -52,6 +52,17 @@ def rotate_arrays(road_ranks, home_ranks):
     return r * _SIN45 + h * _COS45, r * _COS45 - h * _SIN45
 
 
+def _is_rank(values: np.ndarray) -> np.ndarray:
+    """Elementwise test of a float array: finite, integer and >= 1."""
+    return np.isfinite(values) & (values >= 1) & (np.floor(values) == values)
+
+
+def check_seed(seed: int) -> None:
+    """Raise ParameterError unless `seed` is >= 0, as numpy's generators require."""
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+
+
 def training_arrays(road_ranks, home_ranks, movs):
     """Validated float vectors (road, home, movs) for a smoother built from
     arrays: nonempty, of one length, finite, with integer ranks >= 1."""
@@ -65,7 +76,7 @@ def training_arrays(road_ranks, home_ranks, movs):
         raise DataError("no training games")
     if not (np.isfinite(road).all() and np.isfinite(home).all() and np.isfinite(movs).all()):
         raise DataError("road_ranks, home_ranks and movs must be finite")
-    if not all((r >= 1).all() and (r % 1 == 0).all() for r in (road, home)):
+    if not (_is_rank(road).all() and _is_rank(home).all()):
         raise DataError("road_ranks and home_ranks must be integers >= 1")
     return road, home, movs
 
@@ -99,7 +110,7 @@ def _invalid_game(columns):
     Dataset's rank and score field names to float arrays."""
     ranks = np.stack([columns["home_ranks"], columns["road_ranks"]])
     scores = np.stack([columns["home_scores"], columns["road_scores"]])
-    bad_ranks = ~(np.isfinite(ranks) & (ranks >= 1) & (np.floor(ranks) == ranks)).all(axis=0)
+    bad_ranks = ~_is_rank(ranks).all(axis=0)
     bad = bad_ranks | ~(np.isfinite(scores) & (scores >= 0)).all(axis=0)
     if not bad.any():
         return None
@@ -160,8 +171,8 @@ class SplitSpec:
     """How to carve one dataset into train and validation parts.
 
     mode "chronological" takes the earliest `train_count` games (ties broken
-    by input order; seed ignored). mode "random" shuffles positions with a
-    seeded generator and takes the first `train_count`.
+    by input order). mode "random" shuffles positions with a generator seeded
+    by `seed` and takes the first `train_count`. Any seed given must be >= 0.
     """
 
     train_count: int
@@ -181,13 +192,13 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
             f"train_count must be in [1, {n - 1}] for a dataset of {n} games, "
             f"got {spec.train_count}"
         )
+    if spec.seed is not None:
+        check_seed(spec.seed)
     if spec.mode == "chronological":
         order = np.argsort(dataset.dates, kind="stable")
     elif spec.mode == "random":
         if spec.seed is None:
             raise ParameterError("random mode requires a seed")
-        if spec.seed < 0:
-            raise ParameterError(f"seed must be nonnegative, got {spec.seed}")
         order = np.random.default_rng(spec.seed).permutation(n)
     else:
         raise ParameterError(f"unknown split mode {spec.mode!r}")
@@ -203,8 +214,7 @@ def fold_assignments(n: int, k: int, seed: int) -> list[np.ndarray]:
     """
     if not 2 <= k <= n:
         raise ParameterError(f"folds must satisfy 2 <= k <= n, got k={k}, n={n}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     perm = np.random.default_rng(seed).permutation(n)
     return list(np.array_split(perm, k))
 

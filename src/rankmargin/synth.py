@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_seed
 from .errors import ParameterError
 
 # Defaults approximate the margin structure of NCAA regular-season games:
@@ -54,8 +54,7 @@ def generate_synthetic(
         raise ParameterError(f"n must be in [1, {MAX_GAMES:,}], got {n}")
     if not 2 <= rank_max <= 2**53:
         raise ParameterError(f"rank_max must be in [2, 2**53], got {rank_max}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ParameterError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     coefficients = tuple(float(c) for c in coefficients)

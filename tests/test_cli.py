@@ -810,6 +810,43 @@ def test_negative_seed_exits_2(games_csv, tmp_path, capsys, argv):
     assert "seed must be >= 0, got -" in err and "Traceback" not in err
 
 
+# The commands that read each flag. Each input rule is checked in one place,
+# so every one of them rejects a bad value with the same line and writes nothing.
+_RULE_READERS = {
+    "--seed": [["split", "--train-count", "180"],
+               ["split", "--split", "random", "--train-count", "180"],
+               ["tune", "--model", "loess"], ["tune", "--model", "kernel-aniso"],
+               ["report"], ["report", "--split", "random"], ["synth", "--n", "20"]],
+    "--df": [["fit", "--model", "gam"],
+             ["fit", "--model", "all", "--sigma", "6", "--sigma-x", "20", "--sigma-y", "5"],
+             ["report"]],
+    "--train-count": [["split"], ["split", "--split", "random", "--seed", "1"], ["report"]],
+}
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        # report seeds partitions 2.. with seed + 1, ..., but names the seed given
+        ("--seed", "-2", "seed must be >= 0, got -2"),
+        # every rank 1..25 of the season is in its first 180 games, on both axes
+        ("--df", "1", "df per term must be in [2, 25] for 25 distinct ranks, got 1.0"),
+        ("--train-count", "240",
+         "train_count must be in [1, 239] for a dataset of 240 games, got 240"),
+        ("--train-count", "0", "train_count must be in [1, 239] for a dataset of 240 games, got 0"),
+    ],
+)
+def test_one_bad_value_one_message(games_csv, tmp_path, flag, value, message):
+    for i, command in enumerate(_RULE_READERS[flag]):
+        out = tmp_path / str(i)
+        source = [] if command[0] == "synth" else ["--input", str(games_csv)]
+        target = ["--out", str(out / "x")] if command[0] in ("fit", "synth") else ["--out-dir", str(out)]
+        rc, _, err = _run_quietly([*command, *source, f"{flag}={value}", *target])
+        assert (rc, err) == (2, f"error: {message}\n"), command
+        assert not out.exists(), command
+
+
 # Valid command lines on a small season, as (fixed arguments, the numeric
 # and grid flags with their valid values); the fuzzer sets one flag at a time.
 _FLAG_FUZZ_COMMANDS = {
