@@ -64,7 +64,7 @@ def fit_additive(train: Dataset, df_per_term: float = 4.0) -> AdditiveFit:
         raise DataError(f"need at least {_MIN_GAMES} games to backfit, got {n}")
     y = train.movs
     smoothers = (SplineSmoother(train.road_ranks), SplineSmoother(train.home_ranks))
-    check_df(df_per_term, train.road_ranks, train.home_ranks)
+    check_df(df_per_term, min(smoother.m for smoother in smoothers))
     lams = [smoother.lambda_for_df(df_per_term) for smoother in smoothers]
 
     mu = float(y.mean())

@@ -31,7 +31,7 @@ from . import models
 # predict_kernel, predict_loess and predict_quadratic by these names, so they
 # stay imported; fit, predict and report call them through models.KINDS
 from .additive import component_band, fit_additive, predict_additive
-from .data import Dataset, SplitSpec, distinct_pairs, parse_games, split, write_games
+from .data import Dataset, SplitSpec, check_seed, distinct_pairs, parse_games, split, write_games
 from .errors import ParameterError, RankMarginError
 from .evaluate import benchmark, lack_of_fit, pure_error, table_text
 from .kernel import bandwidth_grid, predict_kernel, select_aniso_cv, select_sigma_loo
@@ -186,8 +186,8 @@ def _tune(data: Dataset, args, kinds) -> tuple[dict, list[Path]]:
     """Cross-validate the smoothing parameters of `kinds` (some of TUNED) on
     `data` over the grid flags of `args`, and write their curves.
 
-    Every grid given is checked before any tuning, also one the kinds do not
-    search. A grid flag left out searches the default grid; a one-element
+    Every grid given, and the seed, is checked before any tuning, also one the
+    kinds do not use (leave-one-out takes no seed). A grid flag left out searches the default grid; a one-element
     grid pins the value.
     Returns the chosen values, named as `models.Kind.needs` names them, and
     the curve files written to `args.out_dir`.
@@ -200,6 +200,7 @@ def _tune(data: Dataset, args, kinds) -> tuple[dict, list[Path]]:
     )
     if span_grid is not None:
         check_span_grid(span_grid)
+    check_seed(args.seed)
     chosen, files = {}, {}
     if "loess" in kinds:
         chosen["span"], curve = select_span_cv(data, span_grid, folds=args.folds, seed=args.seed)
@@ -236,17 +237,17 @@ def cmd_tune(args) -> int:
 def cmd_report(args) -> int:
     data = _read_dataset(args.input)
     train_count = max(1, round(0.75 * len(data))) if args.train_count is None else args.train_count
+    first_mode = "chronological" if args.split == "chrono" else args.split
+    # the first split rejects a bad --train-count or --seed, as given
+    pairs = [split(data, SplitSpec(train_count, first_mode, args.seed))]
     if args.partitions < 1:
         raise ParameterError(f"--partitions must be >= 1, got {args.partitions}")
     out_dir = Path(args.out_dir)
 
-    first_mode = "chronological" if args.split == "chrono" else args.split
-    pairs = []
-    for j in range(args.partitions):  # split rejects a bad --seed at j = 0, as given
-        spec = SplitSpec(train_count, first_mode if j == 0 else "random", args.seed + j)
-        pairs.append(split(data, spec))
+    for j in range(1, args.partitions):
+        pairs.append(split(data, SplitSpec(train_count, "random", args.seed + j)))
     for train, _ in pairs:  # before any tuning, which takes most of a report
-        check_df(args.df, train.road_ranks, train.home_ranks)
+        check_df(args.df, min(len(np.unique(train.road_ranks)), len(np.unique(train.home_ranks))))
     # Smoothing parameters are tuned on the first training set and reused
     # everywhere, mirroring how the benchmark protocol treats them.
     tune_train = pairs[0][0]

@@ -218,10 +218,9 @@ def evaluation_weights(knots: np.ndarray, xs) -> np.ndarray:
     return alpha + _q_times(q, scipy.linalg.solveh_banded(r, beta[:, 1:-1].T, lower=True).T)
 
 
-def check_df(df: float, *sites) -> None:
-    """Raise ParameterError unless a smoothing spline on each of the `sites` arrays
-    can have `df` degrees of freedom: 2 to m, the fewest distinct values among them."""
-    m = min(len(np.unique(x)) for x in sites)
+def check_df(df: float, m: int) -> None:
+    """Raise ParameterError unless a smoothing spline on m distinct sites (the
+    ranks of a GAM term) can have `df` degrees of freedom: 2 to m."""
     if not 2.0 <= df <= m + 1e-9:
         raise ParameterError(f"df per term must be in [2, {m}] for {m} distinct ranks, got {df}")
 
@@ -311,7 +310,7 @@ class SplineSmoother:
         extended outward if the target lies beyond the bracket. The two
         boundary targets get their exact limits (0 and inf).
         """
-        check_df(target_df, self.knots)
+        check_df(target_df, self.m)
         if target_df >= self.m - 1e-12:
             return 0.0
         if target_df <= 2.0 + 1e-12:

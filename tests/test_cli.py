@@ -794,29 +794,36 @@ def test_synth_rejects_bad_flags(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+# Every command that reads --seed rejects a negative one with the same line,
+# naming the seed given (report seeds partitions 2.. with seed + 1, ...), and
+# writes nothing; leave-one-out takes no seed, but tune rejects it all the same.
 @pytest.mark.parametrize(
-    "argv",
+    "command",
     [
-        ["report", "--seed", "-1", "--span-grid", "0.5", "--sigma-grid", "8",
-         "--sigma-x-grid", "20", "--sigma-y-grid", "5"],
-        ["tune", "--seed", "-3", "--model", "loess"],
-        ["tune", "--seed", "-3", "--model", "kernel-aniso"],
+        ["report", "--span-grid", "0.5", "--sigma-grid", "8", "--sigma-x-grid", "20",
+         "--sigma-y-grid", "5"],
+        ["report", "--split", "random"],
+        ["tune", "--model", "loess"],
+        ["tune", "--model", "kernel-iso"],
+        ["tune", "--model", "kernel-aniso"],
+        ["split", "--train-count", "180"],
+        ["split", "--split", "random", "--train-count", "180"],
     ],
-    ids=["report", "tune-loess", "tune-aniso"],
+    ids=["report", "report-random", "tune-loess", "tune-iso", "tune-aniso", "split",
+         "split-random"],
 )
-def test_negative_seed_exits_2(games_csv, tmp_path, capsys, argv):
-    assert cli.main([*argv, "--input", str(games_csv), "--out-dir", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert "seed must be >= 0, got -" in err and "Traceback" not in err
+def test_negative_seed_exits_2(games_csv, tmp_path, command):
+    for seed in (-1, -2, -3):
+        out = tmp_path / str(-seed)
+        argv = [*command, "--input", str(games_csv), f"--seed={seed}", "--out-dir", str(out)]
+        rc, _, err = _run_quietly(argv)
+        assert (rc, err) == (2, f"error: seed must be >= 0, got {seed}\n"), command
+        assert not out.exists(), command
 
 
 # The commands that read each flag. Each input rule is checked in one place,
 # so every one of them rejects a bad value with the same line and writes nothing.
 _RULE_READERS = {
-    "--seed": [["split", "--train-count", "180"],
-               ["split", "--split", "random", "--train-count", "180"],
-               ["tune", "--model", "loess"], ["tune", "--model", "kernel-aniso"],
-               ["report"], ["report", "--split", "random"], ["synth", "--n", "20"]],
     "--df": [["fit", "--model", "gam"],
              ["fit", "--model", "all", "--sigma", "6", "--sigma-x", "20", "--sigma-y", "5"],
              ["report"]],
@@ -827,9 +834,6 @@ _RULE_READERS = {
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--seed", "-1", "seed must be >= 0, got -1"),
-        # report seeds partitions 2.. with seed + 1, ..., but names the seed given
-        ("--seed", "-2", "seed must be >= 0, got -2"),
         # every rank 1..25 of the season is in its first 180 games, on both axes
         ("--df", "1", "df per term must be in [2, 25] for 25 distinct ranks, got 1.0"),
         ("--train-count", "240",
@@ -840,9 +844,8 @@ _RULE_READERS = {
 def test_one_bad_value_one_message(games_csv, tmp_path, flag, value, message):
     for i, command in enumerate(_RULE_READERS[flag]):
         out = tmp_path / str(i)
-        source = [] if command[0] == "synth" else ["--input", str(games_csv)]
-        target = ["--out", str(out / "x")] if command[0] in ("fit", "synth") else ["--out-dir", str(out)]
-        rc, _, err = _run_quietly([*command, *source, f"{flag}={value}", *target])
+        target = ["--out", str(out / "x")] if command[0] == "fit" else ["--out-dir", str(out)]
+        rc, _, err = _run_quietly([*command, "--input", str(games_csv), f"{flag}={value}", *target])
         assert (rc, err) == (2, f"error: {message}\n"), command
         assert not out.exists(), command
 

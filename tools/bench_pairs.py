@@ -4,14 +4,14 @@ Run from anywhere inside a rankmargin checkout:
 
     python3 tools/bench_pairs.py --base f3ae5b7 --tag pr20 --pairs 3
 
-Each side is the committed tree of one revision (`--change` defaults to HEAD),
-exported with `git archive` into a temporary directory: nothing is registered
-in the repository's .git, and the directory is removed however the runs end.
-For every workload and pair, both trees run
+The parent side is the committed tree of the base revision, the change side
+that of HEAD; each is exported with `git archive` into a temporary directory:
+nothing is registered in the repository's .git, and the directory is removed
+however the runs end. For every workload and pair, both trees run
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-one after the other; the parent runs first in even pairs, the change in odd
+one after the other, T being BENCHMARK.json's run_seconds; the parent runs first in even pairs, the change in odd
 ones. The files BENCH_<tag>_parent.json and BENCH_<tag>_change.json, written to
 the repository root, hold every JSON line of every run, the median and
 quartiles of each metric, and the Python, numpy, scipy and OpenBLAS versions
@@ -32,7 +32,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("report-r60", "report-r351", "predict-cli")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SIDES = ("parent", "change")
 # Run by the interpreter that runs the benchmark.
 _VERSIONS = (
@@ -118,10 +118,10 @@ def _run(tree: Path, workload: str, seed: int, seconds: int) -> list[dict]:
         raise RunError(f"{workload} in {tree.name}: {exc}\n{tail}") from None
 
 
-def record(base: str, change: str, tag: str, workloads, pairs: int, seed: int,
-           seconds: int) -> list[Path]:
+def record(base: str, tag: str, workloads, pairs: int, seed: int) -> list[Path]:
+    seconds = BENCHMARK["run_seconds"]
     commits = dict(zip(SIDES, (_git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
-                               for rev in (base, change))))
+                               for rev in (base, "HEAD"))))
     docs = {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
@@ -163,20 +163,18 @@ def record(base: str, change: str, tag: str, workloads, pairs: int, seed: int,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--base", required=True, help="the parent revision")
-    parser.add_argument("--change", default="HEAD", help="the changed revision (default HEAD)")
+    parser.add_argument("--base", required=True, help="the parent revision; the change is HEAD")
     parser.add_argument("--tag", required=True, help="names the files BENCH_<tag>_<side>.json")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="repeat for several (default: all three)")
+    workloads = [w["name"] for w in BENCHMARK["workloads"]]
+    parser.add_argument("--workload", action="append", choices=workloads,
+                        help="repeat for several (default: every workload of BENCHMARK.json)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=25)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     try:
-        paths = record(args.base, args.change, args.tag, args.workload or WORKLOADS, args.pairs,
-                       args.seed, args.seconds)
+        paths = record(args.base, args.tag, args.workload or workloads, args.pairs, args.seed)
     except (RunError, subprocess.CalledProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
