@@ -133,6 +133,23 @@ def table_text(table: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def report_text(doc: dict) -> str:
+    """`report.txt`: the `report.json` object `doc` as text."""
+    lof = doc["lack_of_fit"]
+    lines = [table_text(doc["table"]), "", f"Lack of fit, {lof['model']}:"]
+    for row in lof["rows"]:
+        result = row["error"] if "error" in row else (
+            f"F = {row['f_stat']:.3f} on ({row['df_lof']}, {row['df_pe']}) df, "
+            f"p = {row['p_value']:.4f}")
+        lines.append(f"  {row['dataset']}: {result}")
+    t = doc["tuning"]
+    lines += ["", f"Smoothing parameters (tuned on training 1): span = {t['span']}, "
+                  f"sigma = {t['sigma']:.4g}, "
+                  f"(sigma_x, sigma_y) = ({t['sigma_x']:.4g}, {t['sigma_y']:.4g}), "
+                  f"GAM df per term = {t['df_per_term']}"]
+    return "\n".join(lines) + "\n"
+
+
 def _mean_row(label: str, rows) -> dict:
     """Each column's mean over `rows`, skipping the None of a dash."""
     cols = [[v for v in col if v is not None] for col in zip(*(r["values"] for r in rows))]

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankmargin import cli, models
+from rankmargin import additive, cli, evaluate, models
 from rankmargin.data import parse_games
 from rankmargin.kernel import anisotropic_smoother, isotropic_smoother, predict_kernel
 
@@ -721,6 +721,7 @@ def test_report_on_bundled_sample(tmp_path, capsys):
     assert doc["tuning"]["span"] in (0.4, 0.8)
 
     text = (tmp_path / "report.txt").read_text()
+    assert evaluate.report_text(doc) == text
     assert "Lack of fit, quadratic regression:" in text
     assert "F = " in text and ") df, p = " in text
     assert "Smoothing parameters (tuned on training 1):" in text
@@ -740,6 +741,40 @@ def test_report_deterministic(games_csv, tmp_path, capsys):
     capsys.readouterr()
     for name in REPORT_FILES:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_a_failed_report_writes_nothing(games_csv, tmp_path, capsys, monkeypatch):
+    # every file is built before any is written, so an earlier report stays whole
+    old, new = tmp_path / "old", tmp_path / "new"
+    assert _run_report(games_csv, old) == 0
+    first = {name: (old / name).read_bytes() for name in REPORT_FILES}
+    monkeypatch.setattr(additive, "_MAX_ITERATIONS", 1)  # the GAM bands fail, after every fit
+    for out_dir in (old, new):
+        capsys.readouterr()
+        assert _run_report(games_csv, out_dir) == 2
+        assert "confidence bands require a converged fit" in capsys.readouterr().err
+    assert sorted(os.listdir(old)) == sorted(REPORT_FILES)
+    assert {name: (old / name).read_bytes() for name in REPORT_FILES} == first
+    assert not new.exists()
+
+
+def test_report_without_replicated_pairs_has_a_lack_of_fit_error_row(tmp_path, capsys):
+    games = tmp_path / "games.csv"  # 200 games at rank_max 351: no rank pair twice
+    assert cli.main(["synth", "--n", "200", "--rank-max", "351", "--seed", "1",
+                     "--out", str(games)]) == 0
+    assert cli.main(["report", "--input", str(games), "--partitions", "1", "--folds", "5",
+                     "--span-grid", "0.4,0.8", "--sigma-grid", "20,40",
+                     "--sigma-x-grid", "40", "--sigma-y-grid", "20,40",
+                     "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["lack_of_fit"]["rows"] == [
+        {"dataset": "Training 1", "error": "no rank pair occurs more than once"}
+    ]
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    assert "  Training 1: no rank pair occurs more than once" in lines
+    training_1 = next(line for line in lines if line.startswith("Training 1 "))
+    assert training_1.split()[2] == "--"  # under pure error
 
 
 def test_report_fits_each_kind_once_per_partition(games_csv, tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from rankmargin.evaluate import (
     benchmark,
     lack_of_fit,
     pure_error,
+    report_text,
     rmse,
     table_text,
 )
@@ -307,3 +309,10 @@ def test_text_table_layout():
     assert lines[2].startswith("Mean, training")
     assert lines[3].startswith("Validation 1")
     assert lines[4].startswith("Mean, validation")
+
+
+@pytest.mark.parametrize("report_dir", ["report", "season/report"])
+def test_report_text_renders_the_golden_report_json(report_dir):
+    golden = Path(__file__).resolve().parent / "golden" / report_dir
+    doc = json.loads((golden / "report.json").read_text())
+    assert report_text(doc) == (golden / "report.txt").read_text()
