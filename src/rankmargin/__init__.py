@@ -13,7 +13,7 @@ name is imported from its submodule (`rankmargin.loess`, `rankmargin.errors`,
 
 from . import models
 from .additive import component_band
-from .data import Dataset, SplitSpec, parse_games, split
+from .data import Dataset, parse_games, split
 from .errors import RankMarginError
 from .evaluate import benchmark, table_text
 from .quadratic import fit_quadratic, predict_quadratic
@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset",
     "RankMarginError",
-    "SplitSpec",
     "benchmark",
     "component_band",
     "fit_quadratic",

@@ -31,14 +31,14 @@ from . import models
 # predict_kernel, predict_loess and predict_quadratic by these names, so they
 # stay imported; fit, predict and report call them through models.KINDS
 from .additive import component_band, fit_additive, predict_additive
-from .data import Dataset, SplitSpec, check_seed, distinct_pairs, parse_games, split, write_games
-from .errors import ParameterError, RankMarginError
+from .data import Dataset, check_seed, distinct_pairs, parse_games, split, write_games
+from .errors import DataError, ParameterError, RankMarginError
 from .evaluate import benchmark, lack_of_fit, pure_error, report_text, table_text
 from .kernel import bandwidth_grid, predict_kernel, select_aniso_cv, select_sigma_loo
 from .loess import check_span_grid, predict_loess, select_span_cv
 from .numerics import check_df
 from .quadratic import fit_quadratic, predict_quadratic, predict_quadratic_arrays, studentized_residuals
-from .synth import DEFAULT_COEFFICIENTS, generate_synthetic
+from .synth import DEFAULT_COEFFICIENTS, DEFAULT_NOISE_SIGMA, DEFAULT_RANK_MAX, generate_synthetic
 
 SCHEMA_VERSION = 1
 
@@ -133,8 +133,7 @@ def cmd_ingest(args) -> int:
 def cmd_split(args) -> int:
     data = _read_dataset(args.input)
     mode = "chronological" if args.split == "chrono" else args.split
-    spec = SplitSpec(train_count=args.train_count, mode=mode, seed=args.seed)
-    train, valid = split(data, spec)
+    train, valid = split(data, args.train_count, mode, args.seed)
     out_dir = Path(args.out_dir)
     _write_atomic(out_dir / "train.csv", write_games(train))
     _write_atomic(out_dir / "valid.csv", write_games(valid))
@@ -239,13 +238,13 @@ def cmd_report(args) -> int:
     train_count = max(1, round(0.75 * len(data))) if args.train_count is None else args.train_count
     first_mode = "chronological" if args.split == "chrono" else args.split
     # the first split rejects a bad --train-count or --seed, as given
-    pairs = [split(data, SplitSpec(train_count, first_mode, args.seed))]
+    pairs = [split(data, train_count, first_mode, args.seed)]
     if args.partitions < 1:
         raise ParameterError(f"--partitions must be >= 1, got {args.partitions}")
     out_dir = Path(args.out_dir)
 
     for j in range(1, args.partitions):
-        pairs.append(split(data, SplitSpec(train_count, "random", args.seed + j)))
+        pairs.append(split(data, train_count, "random", args.seed + j))
     for train, _ in pairs:  # before any tuning, which takes most of a report
         check_df(args.df, min(len(np.unique(train.road_ranks)), len(np.unique(train.home_ranks))))
     # Smoothing parameters are tuned on the first training set and reused
@@ -254,6 +253,12 @@ def cmd_report(args) -> int:
     chosen, files = _tune(tune_train, args, TUNED)
     params = dict(chosen, df=args.df)
     table, fits = benchmark(pairs, models.KINDS.values(), params)
+    for i, fitted in enumerate(fits, start=1):
+        if not fitted["gam"].converged:
+            raise DataError(
+                f"GAM on training {i} did not converge; "
+                "the RMSE table and confidence bands require a converged fit"
+            )
 
     # perfbench/spans.py wraps lack_of_fit, studentized_residuals and
     # component_band by their names in this module, so the report calls them here.
@@ -399,8 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=",".join(str(c) for c in DEFAULT_COEFFICIENTS),
         help="b0,b_road,b_home,b_road_sq,b_home_sq",
     )
-    p.add_argument("--noise-sigma", type=float, default=11.5)
-    p.add_argument("--rank-max", type=int, default=351)
+    p.add_argument("--noise-sigma", type=float, default=DEFAULT_NOISE_SIGMA)
+    p.add_argument("--rank-max", type=int, default=DEFAULT_RANK_MAX)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)

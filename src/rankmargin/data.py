@@ -166,64 +166,48 @@ class Dataset:
         return Dataset(**{f.name: getattr(self, f.name)[idx] for f in fields(self) if f.init})
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """How to carve one dataset into train and validation parts.
+def split(
+    dataset: Dataset, train_count: int, mode: str = "chronological", seed: int | None = None
+) -> tuple[Dataset, Dataset]:
+    """Split `dataset` into (train, validation): `train_count` games and the rest.
 
     mode "chronological" takes the earliest `train_count` games (ties broken
-    by input order). mode "random" shuffles positions with a generator seeded
-    by `seed` and takes the first `train_count`. Any seed given must be >= 0.
-    """
-
-    train_count: int
-    mode: str = "chronological"
-    seed: int | None = None
-
-
-def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Split `dataset` into (train, validation) per `spec`.
-
-    Deterministic: the chronological mode depends only on dates and input
-    order, the random mode only on (size, seed).
-    """
+    by input order), so it depends only on dates and input order; mode
+    "random" takes the first `train_count` of the positions shuffled by a
+    generator seeded by `seed`, so only on (size, seed). Any seed given
+    must be >= 0."""
     n = len(dataset)
-    if not 0 < spec.train_count < n:
+    if not 0 < train_count < n:
         raise ParameterError(
             f"train_count must be in [1, {n - 1}] for a dataset of {n} games, "
-            f"got {spec.train_count}"
+            f"got {train_count}"
         )
-    if spec.seed is not None:
-        check_seed(spec.seed)
-    if spec.mode == "chronological":
+    if seed is not None:
+        check_seed(seed)
+    if mode == "chronological":
         order = np.argsort(dataset.dates, kind="stable")
-    elif spec.mode == "random":
-        if spec.seed is None:
+    elif mode == "random":
+        if seed is None:
             raise ParameterError("random mode requires a seed")
-        order = np.random.default_rng(spec.seed).permutation(n)
+        order = np.random.default_rng(seed).permutation(n)
     else:
-        raise ParameterError(f"unknown split mode {spec.mode!r}")
-    return dataset.subset(order[: spec.train_count]), dataset.subset(order[spec.train_count :])
-
-
-def fold_assignments(n: int, k: int, seed: int) -> list[np.ndarray]:
-    """Deterministic k-fold partition of range(n); sizes differ by at most 1.
-
-    A pure function of (n, k, seed): the positions are shuffled by a seeded
-    PCG64 generator and split into k consecutive chunks. Mark values never
-    enter the assignment.
-    """
-    if not 2 <= k <= n:
-        raise ParameterError(f"folds must satisfy 2 <= k <= n, got k={k}, n={n}")
-    check_seed(seed)
-    perm = np.random.default_rng(seed).permutation(n)
-    return list(np.array_split(perm, k))
+        raise ParameterError(f"unknown split mode {mode!r}")
+    return dataset.subset(order[:train_count]), dataset.subset(order[train_count:])
 
 
 def fold_splits(n: int, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(train_idx, held_out) for each fold of `fold_assignments(n, k, seed)`;
-    train_idx is sorted."""
+    """(train_idx, held_out) for each fold of a k-fold partition of range(n):
+    fold sizes differ by at most 1 and train_idx is sorted.
+
+    A pure function of (n, k, seed): the positions are shuffled by a seeded
+    PCG64 generator and split into k consecutive chunks. Mark values never
+    enter the assignment."""
+    if not 2 <= k <= n:
+        raise ParameterError(f"folds must satisfy 2 <= k <= n, got k={k}, n={n}")
+    check_seed(seed)
     all_idx = np.arange(n)
-    return [(np.setdiff1d(all_idx, held), held) for held in fold_assignments(n, k, seed)]
+    held_out = np.array_split(np.random.default_rng(seed).permutation(n), k)
+    return [(np.setdiff1d(all_idx, held), held) for held in held_out]
 
 
 def _parse_int(raw: str, column: str, row: int) -> int:

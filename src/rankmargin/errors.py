@@ -23,8 +23,8 @@ class ParameterError(RankMarginError, ValueError):
 class DataError(RankMarginError):
     """The data cannot support the requested operation: an unusable or empty
     CSV, too few games or distinct ranks for a fit, no replicated rank pair
-    for pure error, a GAM band from a fit that did not converge, or an SSE
-    that cannot belong to the data."""
+    for pure error, a GAM band from a fit that did not converge, an SSE
+    that cannot belong to the data, or a report whose GAM did not converge."""
 
 
 class RowParseError(DataError):

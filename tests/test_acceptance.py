@@ -14,7 +14,7 @@ import pytest
 
 from rankmargin import cli
 from rankmargin.additive import fit_additive, predict_additive_arrays
-from rankmargin.data import SplitSpec, fold_assignments, split
+from rankmargin.data import fold_splits, split
 from rankmargin.evaluate import lack_of_fit, pure_error
 from rankmargin.kernel import (
     anisotropic_smoother,
@@ -184,7 +184,7 @@ def test_criterion_5_lack_of_fit_correctness():
 def test_criterion_6_gam_structure_recovery():
     t0 = time.perf_counter()
     data = generate_synthetic(6024, seed=2)
-    train, valid = split(data, SplitSpec(train_count=4518))
+    train, valid = split(data, 4518)
     gam = fit_additive(train)
     quad = fit_quadratic(train)
     g = _rmse(predict_additive_arrays(gam, valid.road_ranks, valid.home_ranks), valid.movs)
@@ -280,8 +280,8 @@ def test_criterion_9_determinism(tmp_path):
 
     # random splits
     data = generate_synthetic(800, seed=12, rank_max=50)
-    s1 = split(data, SplitSpec(train_count=600, mode="random", seed=5))
-    s2 = split(data, SplitSpec(train_count=600, mode="random", seed=5))
+    s1 = split(data, 600, "random", 5)
+    s2 = split(data, 600, "random", 5)
     split_ok = all(
         np.array_equal(h1.dates, h2.dates)
         and np.array_equal(h1.movs, h2.movs)
@@ -289,8 +289,8 @@ def test_criterion_9_determinism(tmp_path):
     )
 
     # CV folds
-    f1 = fold_assignments(1000, 10, seed=7)
-    f2 = fold_assignments(1000, 10, seed=7)
+    f1 = [held for _, held in fold_splits(1000, 10, seed=7)]
+    f2 = [held for _, held in fold_splits(1000, 10, seed=7)]
     folds_ok = all(np.array_equal(a, b) for a, b in zip(f1, f2))
 
     # tuning searches

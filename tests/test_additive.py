@@ -12,7 +12,7 @@ from rankmargin.additive import (
     predict_additive,
     predict_additive_arrays,
 )
-from rankmargin.data import SplitSpec, split
+from rankmargin.data import split
 from rankmargin.errors import DataError, ParameterError
 from rankmargin.evaluate import rmse
 from rankmargin.numerics import SplineSmoother, evaluate_smooth, evaluation_weights
@@ -83,7 +83,7 @@ def test_plane_data_matches_ols_plane():
 
 def test_validation_rmse_close_to_quadratic():
     data = generate_synthetic(2400, seed=31)
-    train, valid = split(data, SplitSpec(train_count=1800))
+    train, valid = split(data, 1800)
     gam = fit_additive(train)
     quad = fit_quadratic(train)
     g = rmse(predict_additive_arrays(gam, valid.road_ranks, valid.home_ranks), valid.movs)

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -756,6 +757,26 @@ def test_a_failed_report_writes_nothing(games_csv, tmp_path, capsys, monkeypatch
     assert sorted(os.listdir(old)) == sorted(REPORT_FILES)
     assert {name: (old / name).read_bytes() for name in REPORT_FILES} == first
     assert not new.exists()
+
+
+def test_report_refuses_an_unconverged_gam_on_any_partition(games_csv, tmp_path, capsys,
+                                                             monkeypatch):
+    # partition 2's GAM feeds only the RMSE table, never the bands
+    calls = []
+
+    def second_unconverged(*args, **kwargs):
+        fit = additive.fit_additive(*args, **kwargs)
+        calls.append(fit)
+        return dataclasses.replace(fit, converged=False) if len(calls) == 2 else fit
+
+    monkeypatch.setattr(models, "fit_additive", second_unconverged)
+    out_dir = tmp_path / "out"
+    assert _run_report(games_csv, out_dir) == 2
+    err = capsys.readouterr().err
+    assert "GAM on training 2 did not converge" in err
+    assert "confidence bands require a converged fit" in err
+    assert len(calls) == 2 and calls[0].converged
+    assert not out_dir.exists()
 
 
 def test_report_without_replicated_pairs_has_a_lack_of_fit_error_row(tmp_path, capsys):

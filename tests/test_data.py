@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from rankmargin.data import (
     CUSTOMARY_MAX_RANK,
     Dataset,
-    SplitSpec,
     distinct_pairs,
-    fold_assignments,
     fold_splits,
     parse_games,
     rotate_arrays,
@@ -212,16 +210,17 @@ _N_AND_K = st.integers(2, 300).flatmap(lambda n: st.tuples(st.just(n), st.intege
 @given(_N_AND_K, st.integers(0, 2**32))
 def test_fold_sizes_differ_by_at_most_one(n_and_k, seed):
     n, k = n_and_k
-    folds = fold_assignments(n, k, seed)
+    folds = [held for _, held in fold_splits(n, k, seed)]
     sizes = [len(f) for f in folds]
     assert len(folds) == k and max(sizes) - min(sizes) <= 1
     assert sorted(np.concatenate(folds)) == list(range(n))
 
 
 def test_fold_splits_pair_each_fold_with_the_rest():
-    for (train_idx, held), want in zip(fold_splits(23, 4, 9), fold_assignments(23, 4, 9)):
-        np.testing.assert_array_equal(held, want)
-        np.testing.assert_array_equal(train_idx, np.setdiff1d(np.arange(23), want))
+    folds = fold_splits(23, 4, 9)
+    for train_idx, held in folds:
+        np.testing.assert_array_equal(train_idx, np.setdiff1d(np.arange(23), held))
+    assert sorted(np.concatenate([held for _, held in folds])) == list(range(23))
     with pytest.raises(ParameterError):
         fold_splits(5, 6, 0)
 
@@ -276,7 +275,7 @@ def test_rotate_matches_reference_and_preserves_norm():
 
 def test_chronological_split_sizes():
     data = generate_synthetic(6024, seed=0)
-    train, valid = split(data, SplitSpec(train_count=4518))
+    train, valid = split(data, 4518)
     assert len(train) == 4518
     assert len(valid) == 1506
     assert train.dates.max() <= valid.dates.min()
@@ -285,7 +284,7 @@ def test_chronological_split_sizes():
 def test_chronological_split_is_stable_for_ties():
     # many games share a date; order within a date must follow input order
     data = generate_synthetic(200, seed=1)
-    train, valid = split(data, SplitSpec(train_count=130))
+    train, valid = split(data, 130)
     rebuilt = [
         (str(d), r, h, m)
         for part in (train, valid)
@@ -298,30 +297,29 @@ def test_chronological_split_is_stable_for_ties():
 def test_chronological_split_breaks_date_ties_by_input_order():
     dates = ["2015-01-03", "2015-01-01", "2015-01-03", "2015-01-02", "2015-01-01"]
     data = Dataset(dates, ["A"] * 5, ["B"] * 5, [1, 2, 3, 4, 5], [1] * 5, [0] * 5, [0] * 5)
-    train, valid = split(data, SplitSpec(train_count=3))
+    train, valid = split(data, 3)
     assert train.home_ranks.tolist() == [2, 5, 4]
     assert valid.home_ranks.tolist() == [1, 3]
 
 
-def test_fold_assignments_reject_negative_seed():
+def test_fold_splits_reject_negative_seed():
     with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
-        fold_assignments(10, 2, -1)
+        fold_splits(10, 2, -1)
 
 
 def test_random_split_deterministic():
     data = generate_synthetic(300, seed=2)
-    spec = SplitSpec(train_count=200, mode="random", seed=11)
-    t1, v1 = split(data, spec)
-    t2, v2 = split(data, spec)
+    t1, v1 = split(data, 200, "random", 11)
+    t2, v2 = split(data, 200, "random", 11)
     np.testing.assert_array_equal(t1.movs, t2.movs)
     np.testing.assert_array_equal(v1.movs, v2.movs)
-    t3, _ = split(data, SplitSpec(train_count=200, mode="random", seed=12))
+    t3, _ = split(data, 200, "random", 12)
     assert not np.array_equal(t1.movs, t3.movs)
 
 
 def test_split_preserves_games():
     data = generate_synthetic(150, seed=4)
-    train, valid = split(data, SplitSpec(train_count=90, mode="random", seed=0))
+    train, valid = split(data, 90, "random", 0)
     assert len(train) + len(valid) == len(data)
     games = lambda part: list(zip(part.dates.astype(str), part.road_ranks, part.home_ranks, part.movs))
     assert sorted(games(train) + games(valid)) == sorted(games(data))
@@ -330,13 +328,13 @@ def test_split_preserves_games():
 def test_split_errors():
     data = generate_synthetic(10, seed=5)
     with pytest.raises(ParameterError, match=r"train_count must be in \[1, 9\].*got 10$"):
-        split(data, SplitSpec(train_count=10))
+        split(data, 10)
     with pytest.raises(ParameterError, match=r"train_count must be in \[1, 9\].*got 0$"):
-        split(data, SplitSpec(train_count=0))
+        split(data, 0)
     with pytest.raises(ParameterError, match="unknown split mode 'alphabetical'"):
-        split(data, SplitSpec(train_count=5, mode="alphabetical"))
+        split(data, 5, "alphabetical")
     with pytest.raises(ParameterError, match="random mode requires a seed"):
-        split(data, SplitSpec(train_count=5, mode="random"))  # no seed
+        split(data, 5, "random")  # no seed
 
 
 def test_dataset_arrays_and_subset():

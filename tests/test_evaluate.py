@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankmargin.data import SplitSpec, fold_assignments, split
+from rankmargin.data import fold_splits, split
 from rankmargin.errors import DataError, ParameterError, RankMarginError
 from rankmargin.evaluate import (
     PURE_ERROR_COLUMN,
@@ -119,7 +119,7 @@ class TestLackOfFit:
 
 class TestFoldAssignments:
     def test_partition_properties(self):
-        folds = fold_assignments(23, 5, seed=7)
+        folds = [held for _, held in fold_splits(23, 5, seed=7)]
         assert len(folds) == 5
         sizes = [len(f) for f in folds]
         assert max(sizes) - min(sizes) <= 1
@@ -127,22 +127,23 @@ class TestFoldAssignments:
         assert sorted(combined) == list(range(23))
 
     def test_deterministic_in_seed(self):
-        a = fold_assignments(40, 4, seed=3)
-        b = fold_assignments(40, 4, seed=3)
-        for fa, fb in zip(a, b):
+        a = fold_splits(40, 4, seed=3)
+        b = fold_splits(40, 4, seed=3)
+        for (ta, fa), (tb, fb) in zip(a, b):
             np.testing.assert_array_equal(fa, fb)
-        c = fold_assignments(40, 4, seed=4)
-        assert any(not np.array_equal(fa, fc) for fa, fc in zip(a, c))
+            np.testing.assert_array_equal(ta, tb)
+        c = fold_splits(40, 4, seed=4)
+        assert any(not np.array_equal(fa, fc) for (_, fa), (_, fc) in zip(a, c))
 
     def test_k_equals_n_gives_singletons(self):
-        folds = fold_assignments(6, 6, seed=0)
-        assert all(len(f) == 1 for f in folds)
+        folds = fold_splits(6, 6, seed=0)
+        assert all(len(held) == 1 for _, held in folds)
 
     def test_errors(self):
         with pytest.raises(ParameterError):
-            fold_assignments(10, 1, seed=0)
+            fold_splits(10, 1, seed=0)
         with pytest.raises(ParameterError):
-            fold_assignments(10, 11, seed=0)
+            fold_splits(10, 11, seed=0)
 
 
 def _broken_fit(train, params):
@@ -190,7 +191,7 @@ class TestKfoldCv:
 class TestBenchmark:
     def test_single_pair_means_equal_rows(self):
         data = generate_synthetic(400, seed=66, rank_max=30)
-        train, valid = split(data, SplitSpec(train_count=300))
+        train, valid = split(data, 300)
         report, _ = benchmark([(train, valid)], [_QUADRATIC], {})
         assert len(report["training_rows"]) == 1
         assert len(report["validation_rows"]) == 1
@@ -203,7 +204,7 @@ class TestBenchmark:
         pairs = []
         for seed in (67, 68):
             data = generate_synthetic(300, seed=seed, rank_max=25)
-            pairs.append(split(data, SplitSpec(train_count=200)))
+            pairs.append(split(data, 200))
         report, _ = benchmark(pairs, [_QUADRATIC, _ZERO], {})
         for rows, mean_row in (
             (report["training_rows"], report["training_mean"]),
@@ -217,7 +218,7 @@ class TestBenchmark:
 
     def test_column_order(self):
         data = generate_synthetic(500, seed=69, rank_max=40)
-        train, valid = split(data, SplitSpec(train_count=350))
+        train, valid = split(data, 350)
         params = dict(span=0.4, sigma=12.0, sigma_x=40.0, sigma_y=10.0, df=4.0)
         report, _ = benchmark([(train, valid)], KINDS.values(), params)
         assert report["columns"] == [PURE_ERROR_COLUMN, *(kind.column for kind in KINDS.values())]
@@ -234,20 +235,20 @@ class TestBenchmark:
 
     def test_round_trips(self):
         data = generate_synthetic(200, seed=70, rank_max=20)
-        train, valid = split(data, SplitSpec(train_count=150))
+        train, valid = split(data, 150)
         report, _ = benchmark([(train, valid)], [_QUADRATIC, _ZERO], {})
         assert json.loads(json.dumps(report)) == report  # the table is the JSON report writes
 
     def test_fit_failure_names_model_and_dataset(self):
         data = generate_synthetic(100, seed=71, rank_max=15)
-        train, valid = split(data, SplitSpec(train_count=80))
+        train, valid = split(data, 80)
 
         with pytest.raises(RankMarginError, match=r"'Broken'.*training 1"):
             benchmark([(train, valid)], [_QUADRATIC, _BROKEN], {})
 
     def test_validation_errors(self):
         data = generate_synthetic(100, seed=72, rank_max=15)
-        pair = split(data, SplitSpec(train_count=80))
+        pair = split(data, 80)
         with pytest.raises(ParameterError):
             benchmark([], [_QUADRATIC], {})
         with pytest.raises(ParameterError):
@@ -255,7 +256,7 @@ class TestBenchmark:
 
     def test_one_predictor_call_per_partition(self):
         pairs = [
-            split(generate_synthetic(400, seed=seed, rank_max=30), SplitSpec(train_count=300))
+            split(generate_synthetic(400, seed=seed, rank_max=30), 300)
             for seed in (73, 74)
         ]
         calls = []
@@ -287,7 +288,7 @@ class TestBenchmark:
 
     def test_rank_data_scores_near_noise_level(self):
         data = generate_synthetic(3000, seed=60)
-        train, valid = split(data, SplitSpec(train_count=2250))
+        train, valid = split(data, 2250)
         params = dict(span=0.3, sigma=15.0, sigma_x=40.0, sigma_y=10.0, df=4.0)
         report, _ = benchmark([(train, valid)], KINDS.values(), params)
         for row in (report["training_rows"][0], report["validation_rows"][0]):
@@ -300,7 +301,7 @@ class TestBenchmark:
 
 def test_text_table_layout():
     data = generate_synthetic(300, seed=73, rank_max=25)
-    train, valid = split(data, SplitSpec(train_count=220))
+    train, valid = split(data, 220)
     report, _ = benchmark([(train, valid)], [_QUADRATIC], {})
     text = table_text(report)
     lines = [l for l in text.splitlines() if not l.startswith("#")]

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rankmargin import kernel
-from rankmargin.data import fold_assignments, rotate_arrays
+from rankmargin.data import fold_splits, rotate_arrays
 from rankmargin.errors import DataError, DegeneratePredictionWarning, ParameterError
 from rankmargin.kernel import (
     DEFAULT_SIGMA_GRID,
@@ -396,8 +396,7 @@ class TestAnisotropicSelection:
         # recompute through the isotropic predictor on the same partition
         total = 0.0
         n = len(data)
-        for held in fold_assignments(n, 5, 6):
-            tr = np.setdiff1d(np.arange(n), held)
+        for tr, held in fold_splits(n, 5, 6):
             spec = isotropic_smoother(data.subset(tr), 11.0)
             preds = predict_kernel_arrays(spec, data.road_ranks[held], data.home_ranks[held])
             err = preds - data.movs[held]
@@ -477,8 +476,7 @@ def test_aniso_cv_matches_per_fold_direct_sums(case, data):
     _, surface = select_aniso_cv(make_dataset(road, home, movs), [sx, sy], [sy, sx], folds, seed)
     for sigma_x, sigma_y, got in surface:
         total = 0.0
-        for held in fold_assignments(n, folds, seed):
-            tr = np.setdiff1d(np.arange(n), held)
+        for tr, held in fold_splits(n, folds, seed):
             preds = _weighted_reference(
                 road[tr], home[tr], movs[tr], np.ones(len(tr)), (sigma_x, sigma_y),
                 road[held], home[held],

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rankmargin import loess
-from rankmargin.data import fold_assignments
+from rankmargin.data import fold_splits
 from rankmargin.errors import DegeneratePredictionWarning, ParameterError
 from rankmargin.loess import (
     DEFAULT_SPAN_GRID,
@@ -257,8 +257,8 @@ class TestBatchedPrediction:
         n = len(data)
         for (s, got), span in zip(curve, grid):
             total = 0.0
-            for held in fold_assignments(n, 4, 5):
-                part = fit_loess(data.subset(np.setdiff1d(np.arange(n), held)), span)
+            for tr, held in fold_splits(n, 4, 5):
+                part = fit_loess(data.subset(tr), span)
                 err = predict_loess_arrays(
                     part, data.road_ranks[held], data.home_ranks[held]
                 ) - data.movs[held]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rankmargin.data import SplitSpec, split
+from rankmargin.data import split
 from rankmargin.errors import DataError, ParameterError
 from rankmargin.evaluate import pure_error
 from rankmargin.models import KINDS
@@ -149,7 +149,7 @@ def test_serialization_round_trip():
 
 def test_season_scale_split_fit():
     data = generate_synthetic(6024, seed=11)
-    train, valid = split(data, SplitSpec(train_count=4518))
+    train, valid = split(data, 4518)
     fit = fit_quadratic(train)
     # signs of the fitted surface match the reference structure
     assert fit.beta0 < 0
