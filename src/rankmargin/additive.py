@@ -36,7 +36,6 @@ class AdditiveFit:
     f_home: SmoothFunction
     sigma_hat: float
     iterations_used: int
-    converged: bool
     n_train: int
 
 
@@ -56,8 +55,9 @@ def fit_additive(train: Dataset, df_per_term: float = 4.0) -> AdditiveFit:
     Requires at least 10 games and at least 4 distinct ranks on each axis.
     Convergence: the largest absolute change in fitted values over one sweep
     is at most `_TOLERANCE` times the response scale (interquartile range
-    of the margins). A fit still moving after `_MAX_ITERATIONS` sweeps is
-    returned with converged=False rather than raised.
+    of the margins). A fit still moving after `_MAX_ITERATIONS` sweeps
+    raises DataError: its components, and the bands linearized around its
+    final sweep, would be meaningless.
     """
     n = len(train)
     if n < _MIN_GAMES:
@@ -72,8 +72,6 @@ def fit_additive(train: Dataset, df_per_term: float = 4.0) -> AdditiveFit:
     solved = [None, None]  # each component's centered knot values and second derivatives
     scale = _response_scale(y)
     fitted_prev = np.full(n, mu)
-    converged = False
-    iterations_used = 0
     for iterations_used in range(1, _MAX_ITERATIONS + 1):
         for k, (smoother, lam) in enumerate(zip(smoothers, lams)):
             values, gamma = smoother.solve(smoother.average(y - mu - at_train[1 - k]), lam)
@@ -87,8 +85,9 @@ def fit_additive(train: Dataset, df_per_term: float = 4.0) -> AdditiveFit:
         delta = float(np.max(np.abs(fitted - fitted_prev)))
         fitted_prev = fitted
         if delta <= _TOLERANCE * scale:
-            converged = True
             break
+    else:
+        raise DataError(f"GAM backfitting did not converge in {_MAX_ITERATIONS} sweeps")
 
     sf_r, sf_h = (
         SmoothFunction(knots=smoother.knots, values=values, second_derivatives=gamma, lam=lam,
@@ -106,7 +105,6 @@ def fit_additive(train: Dataset, df_per_term: float = 4.0) -> AdditiveFit:
         f_home=sf_h,
         sigma_hat=sigma_hat,
         iterations_used=iterations_used,
-        converged=converged,
         n_train=n,
     )
 
@@ -125,12 +123,9 @@ def predict_additive_arrays(fit: AdditiveFit, road_ranks, home_ranks) -> np.ndar
 def component_band(fit: AdditiveFit, which_term: str, grid):
     """Pointwise 95% band for one component over `grid`.
 
-    Returns (estimate, lower, upper) arrays. Refuses non-converged fits:
-    the band linearizes around the final sweep, which is meaningless if the
-    sweeps were still moving.
+    Returns (estimate, lower, upper) arrays. The band linearizes around the
+    final sweep, which fit_additive guarantees has converged.
     """
-    if not fit.converged:
-        raise DataError("confidence bands require a converged fit")
     if which_term == "road":
         sf = fit.f_road
     elif which_term == "home":

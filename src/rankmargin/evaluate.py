@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset, distinct_pairs
 from .errors import DataError, ParameterError, RankMarginError
-from .numerics import f_cdf
+from .numerics import f_sf
 
 
 def rmse(predicted, actual) -> float:
@@ -99,7 +99,7 @@ def lack_of_fit(fit_sse: float, n_params: int, data: Dataset) -> LackOfFitResult
         f_stat = 0.0 if ss_lof <= tol else math.inf
     else:
         f_stat = (ss_lof / df_lof) / mse_pe
-    p_value = 1.0 - f_cdf(f_stat, df_lof, pure.df_pe)
+    p_value = f_sf(f_stat, df_lof, pure.df_pe)
     return LackOfFitResult(
         f_stat=f_stat,
         df_lof=df_lof,
@@ -193,7 +193,7 @@ def benchmark(pairs, kinds, params) -> tuple[dict, list[dict]]:
         for kind in kinds:
             try:
                 fitted = kind.fit(train, params)
-            except Exception as exc:
+            except RankMarginError as exc:  # anything else is a bug, with its traceback
                 raise RankMarginError(
                     f"model {kind.column!r} failed on training {i}: {exc}"
                 ) from exc

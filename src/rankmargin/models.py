@@ -131,15 +131,14 @@ def _gam_to_payload(fit: AdditiveFit) -> dict:
         "f_home": _smooth_to_dict(fit.f_home),
         "sigma_hat": fit.sigma_hat,
         "iterations_used": fit.iterations_used,
-        "converged": fit.converged,
+        "converged": True,  # fit_additive raises on a fit that does not converge
         "n_train": fit.n_train,
     }
 
 
 def _gam_from_payload(payload: dict) -> AdditiveFit:
-    converged = payload["converged"]
-    if not isinstance(converged, bool):
-        raise ParameterError(f"converged must be true or false, got {converged!r}")
+    if payload["converged"] is not True:
+        raise ParameterError(f"converged must be true, got {payload['converged']!r}")
     return AdditiveFit(
         mu=_number(payload["mu"], "mu"),
         f_road=_smooth_from_dict(payload["f_road"]),
@@ -147,7 +146,6 @@ def _gam_from_payload(payload: dict) -> AdditiveFit:
         sigma_hat=_number(payload["sigma_hat"], "sigma_hat", 0.0),
         iterations_used=_number(payload["iterations_used"], "iterations_used", 1,
                                 _MAX_ITERATIONS, integer=True),
-        converged=converged,
         n_train=_number(payload["n_train"], "n_train", 1, integer=True),
     )
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from rankmargin import additive, cli, evaluate, models
 from rankmargin.data import parse_games
+from rankmargin.errors import DataError
 from rankmargin.kernel import anisotropic_smoother, isotropic_smoother, predict_kernel
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample_data" / "games_sample.csv"
@@ -413,7 +414,8 @@ INF = float("inf")
         # fields predict never reads, and booleans where numbers belong
         ("quadratic", ["n_train"], -1, "n_train must be an integer"),
         ("quadratic", ["sigma_hat"], -1.0, "sigma_hat must be a finite number"),
-        ("gam", ["converged"], "x", "converged must be true or false"),
+        ("gam", ["converged"], "x", "converged must be true, got 'x'"),
+        ("gam", ["converged"], False, "converged must be true, got False"),
         ("gam", ["iterations_used"], 1e300, "iterations_used must be an integer"),
         ("gam", ["f_road", "effective_df"], -1, "effective_df must be a finite number"),
         ("gam", ["f_home", "knot_weights"], lambda w: [-1.0] * len(w), "knot_weights > 0"),
@@ -430,7 +432,8 @@ INF = float("inf")
         "quad-inf-beta_hh", "gam-nan-value", "gam-nan-knot", "gam-nan-mu", "quad-beta_rh",
         "quad-inf-n_train", "quad-minus-inf-n_train", "gam-inf-n_train", "gam-minus-inf-n_train",
         "gam-inf-iterations", "gam-minus-inf-iterations", "quad-negative-n_train",
-        "quad-negative-sigma_hat", "gam-string-converged", "gam-huge-iterations",
+        "quad-negative-sigma_hat", "gam-string-converged", "gam-false-converged",
+        "gam-huge-iterations",
         "gam-negative-effective_df", "gam-negative-knot_weights", "loess-true-span",
         "iso-true-sigma", "aniso-true-mov", "gam-true-value", "loess-false-rank",
     ],
@@ -749,11 +752,15 @@ def test_a_failed_report_writes_nothing(games_csv, tmp_path, capsys, monkeypatch
     old, new = tmp_path / "old", tmp_path / "new"
     assert _run_report(games_csv, old) == 0
     first = {name: (old / name).read_bytes() for name in REPORT_FILES}
-    monkeypatch.setattr(additive, "_MAX_ITERATIONS", 1)  # the GAM bands fail, after every fit
+
+    def failing_band(*args, **kwargs):  # the last file, after the other five are built
+        raise DataError("no band")
+
+    monkeypatch.setattr(cli, "component_band", failing_band)
     for out_dir in (old, new):
         capsys.readouterr()
         assert _run_report(games_csv, out_dir) == 2
-        assert "confidence bands require a converged fit" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: no band\n"
     assert sorted(os.listdir(old)) == sorted(REPORT_FILES)
     assert {name: (old / name).read_bytes() for name in REPORT_FILES} == first
     assert not new.exists()
@@ -765,18 +772,53 @@ def test_report_refuses_an_unconverged_gam_on_any_partition(games_csv, tmp_path,
     calls = []
 
     def second_unconverged(*args, **kwargs):
-        fit = additive.fit_additive(*args, **kwargs)
-        calls.append(fit)
-        return dataclasses.replace(fit, converged=False) if len(calls) == 2 else fit
+        calls.append(None)
+        with monkeypatch.context() as m:
+            if len(calls) == 2:
+                m.setattr(additive, "_MAX_ITERATIONS", 1)
+            return additive.fit_additive(*args, **kwargs)
 
     monkeypatch.setattr(models, "fit_additive", second_unconverged)
     out_dir = tmp_path / "out"
     assert _run_report(games_csv, out_dir) == 2
-    err = capsys.readouterr().err
-    assert "GAM on training 2 did not converge" in err
-    assert "confidence bands require a converged fit" in err
-    assert len(calls) == 2 and calls[0].converged
+    assert capsys.readouterr().err == (
+        "error: model 'Gaussian GAM' failed on training 2: "
+        "GAM backfitting did not converge in 1 sweeps\n"
+    )
+    assert len(calls) == 2
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "error, rc, message",
+    [(TypeError("a bug"), 1, "TypeError: a bug"),
+     (DataError("x"), 2, "error: model 'Quadratic regression' failed on training 1: x\n")],
+    ids=["bug", "data-error"],
+)
+def test_report_names_a_failed_fit_and_shows_a_bug(games_csv, tmp_path, capsys, monkeypatch,
+                                                   error, rc, message):
+    # a package error is named with its model and partition; any other is a bug
+    def failing_fit(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(models, "fit_quadratic", failing_fit)
+    out_dir = tmp_path / "out"
+    assert _run_report(games_csv, out_dir) == rc
+    err = capsys.readouterr().err
+    assert message in err
+    assert ("Traceback" in err) == (rc == 1)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("model", ["gam", "all"])
+def test_fit_refuses_an_unconverged_gam(games_csv, tmp_path, monkeypatch, model):
+    monkeypatch.setattr(additive, "_MAX_ITERATIONS", 1)
+    out = tmp_path / "out"
+    code, stdout, err = _run_quietly(["fit", "--input", str(games_csv), "--model", model,
+                                      "--sigma", "6", "--sigma-x", "20", "--sigma-y", "5",
+                                      "--out", str(out)])
+    assert (code, stdout, err) == (2, "", "error: GAM backfitting did not converge in 1 sweeps\n")
+    assert not out.exists()
 
 
 def test_report_without_replicated_pairs_has_a_lack_of_fit_error_row(tmp_path, capsys):
@@ -884,6 +926,7 @@ _RULE_READERS = {
              ["fit", "--model", "all", "--sigma", "6", "--sigma-x", "20", "--sigma-y", "5"],
              ["report"]],
     "--train-count": [["split"], ["split", "--split", "random", "--seed", "1"], ["report"]],
+    "--folds": [*(["tune", "--model", model] for model in cli.TUNED), ["report"]],
 }
 
 
@@ -895,6 +938,8 @@ _RULE_READERS = {
         ("--train-count", "240",
          "train_count must be in [1, 239] for a dataset of 240 games, got 240"),
         ("--train-count", "0", "train_count must be in [1, 239] for a dataset of 240 games, got 0"),
+        # n is the games tuned on: the season for tune, its first 180 for report
+        ("--folds", "1", "folds must satisfy 2 <= k <= n, got k=1, n={n}"),
     ],
 )
 def test_one_bad_value_one_message(games_csv, tmp_path, flag, value, message):
@@ -902,7 +947,8 @@ def test_one_bad_value_one_message(games_csv, tmp_path, flag, value, message):
         out = tmp_path / str(i)
         target = ["--out", str(out / "x")] if command[0] == "fit" else ["--out-dir", str(out)]
         rc, _, err = _run_quietly([*command, "--input", str(games_csv), f"{flag}={value}", *target])
-        assert (rc, err) == (2, f"error: {message}\n"), command
+        n = 180 if command[0] == "report" else 240
+        assert (rc, err) == (2, f"error: {message.format(n=n)}\n"), command
         assert not out.exists(), command
 
 

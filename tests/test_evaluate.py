@@ -147,7 +147,7 @@ class TestFoldAssignments:
 
 
 def _broken_fit(train, params):
-    raise ValueError("boom")
+    raise DataError("boom")
 
 
 # rows shaped like models.KINDS rows: a model that predicts 0, one that cannot fit
@@ -243,8 +243,11 @@ class TestBenchmark:
         data = generate_synthetic(100, seed=71, rank_max=15)
         train, valid = split(data, 80)
 
-        with pytest.raises(RankMarginError, match=r"'Broken'.*training 1"):
+        with pytest.raises(RankMarginError, match=r"'Broken'.*training 1: boom"):
             benchmark([(train, valid)], [_QUADRATIC, _BROKEN], {})
+        # any other exception is a bug, and propagates as it was raised
+        with pytest.raises(ZeroDivisionError):
+            benchmark([(train, valid)], [_BROKEN._replace(fit=lambda train, params: 1 / 0)], {})
 
     def test_validation_errors(self):
         data = generate_synthetic(100, seed=72, rank_max=15)

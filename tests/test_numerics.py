@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from rankmargin.errors import DataError, ParameterError, RankDeficientError
 from rankmargin.numerics import (
     SplineSmoother,
     evaluate_smooth,
     evaluation_weights,
-    f_cdf,
+    f_sf,
     min_ties_to_larger,
     weighted_least_squares,
 )
@@ -98,43 +99,55 @@ class TestWeightedLeastSquares:
 
 
 class TestFCdf:
+    """The F distribution through its upper tail f_sf, which is 1 - CDF."""
+
     def test_symmetry_point(self):
         for d in (1, 5, 50):
-            assert f_cdf(1.0, d, d) == pytest.approx(0.5, abs=1e-10)
+            assert f_sf(1.0, d, d) == pytest.approx(0.5, abs=1e-10)
 
     def test_boundaries(self):
-        assert f_cdf(0.0, 3, 7) == 0.0
-        assert f_cdf(math.inf, 3, 7) == 1.0
+        assert f_sf(0.0, 3, 7) == 1.0
+        assert f_sf(math.inf, 3, 7) == 0.0
         with pytest.raises(ParameterError):
-            f_cdf(-2.0, 3, 7)
+            f_sf(-2.0, 3, 7)
 
     def test_chi_square_limit(self):
         # F(1, big) -> chi-square(1); 3.8415 is the 95th percentile
-        value = f_cdf(3.8415, 1, 100000)
-        assert value == pytest.approx(0.95, abs=1e-3)
-        assert value == pytest.approx(oracles.f_cdf_reference(3.8415, 1, 100000), abs=1e-6)
+        value = f_sf(3.8415, 1, 100000)
+        assert value == pytest.approx(0.05, abs=1e-3)
+        assert value == pytest.approx(1.0 - oracles.f_cdf_reference(3.8415, 1, 100000), abs=1e-6)
 
     def test_matches_quadrature(self):
         cases = [(0.3, 2, 5), (1.7, 4, 4), (2.5, 1, 3), (5.0, 10, 2), (0.9, 7, 13)]
         for v, d1, d2 in cases:
-            assert f_cdf(v, d1, d2) == pytest.approx(
-                oracles.f_cdf_reference(v, d1, d2), abs=1e-8
+            assert f_sf(v, d1, d2) == pytest.approx(
+                1.0 - oracles.f_cdf_reference(v, d1, d2), abs=1e-8
             )
+
+    @pytest.mark.parametrize(
+        "value, df1, df2",
+        [(10.0, 547, 48), (50.0, 547, 48), (3.0, 5, 5), (40.0, 3, 1000), (200.0, 1, 20),
+         (8.0, 60, 600)],
+    )
+    def test_far_tail_matches_scipy(self, value, df1, df2):
+        # 1 - CDF loses these tails to rounding: at F = 50 on (547, 48) it gives 0.0
+        expected = scipy.stats.f.sf(value, df1, df2)
+        assert 0.0 < expected
+        assert f_sf(value, df1, df2) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_invalid_dfs(self):
         with pytest.raises(ParameterError):
-            f_cdf(1.0, 0, 5)
+            f_sf(1.0, 0, 5)
         with pytest.raises(ParameterError):
-            f_cdf(1.0, 5, -1)
+            f_sf(1.0, 5, -1)
 
     def test_monotone_and_complement(self):
         values = np.linspace(0.0, 12.0, 25)
-        cdfs = [f_cdf(v, 4, 9) for v in values]
-        assert all(a <= b + 1e-14 for a, b in zip(cdfs, cdfs[1:]))
-        # upper tail via the reciprocal-F identity: P(F(a,b) > x) = CDF_F(b,a)(1/x)
+        tails = [f_sf(v, 4, 9) for v in values]
+        assert all(a >= b - 1e-14 for a, b in zip(tails, tails[1:]))
+        # reciprocal-F identity: P(F(a,b) > x) = P(F(b,a) < 1/x)
         for v in (0.4, 1.3, 3.8):
-            upper = f_cdf(1.0 / v, 9, 4)
-            assert f_cdf(v, 4, 9) + upper == pytest.approx(1.0, abs=1e-10)
+            assert f_sf(v, 4, 9) + f_sf(1.0 / v, 9, 4) == pytest.approx(1.0, abs=1e-10)
 
 
 def _noisy_sites(seed, m=40, lo=1.0, hi=100.0):
