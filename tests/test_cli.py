@@ -3,7 +3,6 @@
 import argparse
 import contextlib
 import copy
-import dataclasses
 import io
 import json
 import math
