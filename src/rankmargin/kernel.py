@@ -40,6 +40,9 @@ in rotated coordinates with weights relative to the nearest game, row by row:
   where the subtraction would cancel (a lone game far from all others).
 Each call emits at most one DegeneratePredictionWarning, counting overflow
 fallbacks per original query (per game and bandwidth in the grid searches).
+
+`scipy.sparse` is imported when a lattice is built, so a process that builds
+no kernel smoother never loads it.
 """
 
 from __future__ import annotations
@@ -48,14 +51,16 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .data import Dataset, distinct_pairs, fold_splits, rotate_arrays, training_arrays
 from .errors import DataError, ParameterError, warn_fallbacks
 from .numerics import min_ties_to_larger
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 DEFAULT_SIGMA_GRID = tuple(np.geomspace(1.0, 200.0, 40))
 DEFAULT_SIGMA_X_GRID = tuple(float(v) for v in range(10, 101, 10))
@@ -81,6 +86,8 @@ class _Lattice(NamedTuple):
 
 
 def _lattice(road, home, movs) -> _Lattice:
+    from scipy.sparse import csr_array
+
     s, s_idx = np.unique(road + home, return_inverse=True)
     d, d_idx = np.unique(road - home, return_inverse=True)
     cells, game_cell = np.unique(d_idx * len(s) + s_idx, return_inverse=True)

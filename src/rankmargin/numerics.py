@@ -40,6 +40,9 @@ tridiagonal that needs only the central bands of B^{-1}, which the backward
 recursion of Hutchinson & de Hoog (1985, Numer. Math. 47:99) takes from the
 banded Cholesky factor in O(m). Calibrating lam to a df target is a
 bisection on log lam.
+
+scipy is imported inside the functions that call it, so a process that fits
+and evaluates no GAM spline and takes no F tail never loads it.
 """
 
 from __future__ import annotations
@@ -48,8 +51,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import betainc
 
 from .errors import DataError, ParameterError, RankDeficientError
 
@@ -205,6 +206,8 @@ def evaluation_weights(knots: np.ndarray, xs) -> np.ndarray:
     second derivatives, so they are exact for interpolation, smoothing fits,
     and linear extrapolation alike.
     """
+    import scipy.linalg
+
     u = np.asarray(knots, dtype=float)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     i, a1, a2, b1, b2 = _interval_weights(u, xs)
@@ -269,6 +272,8 @@ class SplineSmoother:
 
     def _cholesky(self, lam: float) -> np.ndarray:
         """Lower banded Cholesky factor of B = R + lam P, for finite `lam`."""
+        import scipy.linalg
+
         if lam != self._factor_lam:
             band = lam * self._p
             band[:2] += self._r
@@ -342,6 +347,8 @@ class SplineSmoother:
         """Fitted knot values and second derivatives (0 at the boundary knots)
         for group means `ybar`, along its last axis (one row per response for
         a 2-D `ybar`)."""
+        import scipy.linalg
+
         gamma = np.zeros(ybar.shape)
         if math.isinf(lam):
             return self._linear_fit(ybar), gamma
@@ -365,6 +372,8 @@ def f_sf(value: float, df1: float, df2: float) -> float:
     Computing the tail directly keeps its relative accuracy far out, where
     1 - CDF would round to 0 (or to a multiple of 2^-53).
     """
+    from scipy.special import betainc
+
     if df1 <= 0 or df2 <= 0:
         raise ParameterError(f"degrees of freedom must be positive, got {df1}, {df2}")
     if value < 0:

@@ -60,3 +60,46 @@ def test_json_lines_keeps_every_object_and_ends_on_the_result():
 def test_json_lines_rejects_a_run_without_a_passing_result(stdout, message):
     with pytest.raises(bench_pairs.RunError, match=message):
         bench_pairs.json_lines(stdout)
+
+
+def _doc(workload, values_by_metric):
+    """A BENCH document of one workload whose run i holds the i-th value of
+    each metric."""
+    n = len(next(iter(values_by_metric.values())))
+    runs = [
+        {"pair": i, "order": i % 2, "json_lines": [{
+            "correct": True, "failed": 0,
+            "metrics": {m: {"value": v[i], "unit": "u"} for m, v in values_by_metric.items()},
+        }]}
+        for i in range(n)
+    ]
+    return {"workloads": [{"workload": workload, "runs": runs, "summary": bench_pairs.summarize(runs)}]}
+
+
+def test_compare_reports_medians_pairs_and_bounds_in_each_direction():
+    benchmark = {"end_to_end": [
+        {"name": "t_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+        {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.1},
+    ]}
+    parent = _doc("w", {"t_ms": [10.0, 12.0, 11.0, 13.0], "rate": [100.0, 80.0, 90.0, 90.0]})
+    change = _doc("w", {"t_ms": [9.0, 12.0, 14.0, 20.0], "rate": [50.0, 81.0, 85.0, 90.0]})
+    assert bench_pairs.compare(parent, change, benchmark) == [
+        "w t_ms (lower is better): parent 11.5 [10.75, 12.25] -> change 13 [11.25, 15.5] ms, "
+        "+13.0%; better in 1/4 pairs; inside bound 25%",
+        "w rate (higher is better): parent 90 [87.5, 92.5] -> change 83 [73.25, 86.25] 1/s, "
+        "-7.8%; better in 1/4 pairs; inside bound 10%",
+    ]
+    worse = _doc("w", {"t_ms": [20.0, 20.0, 20.0, 20.0], "rate": [70.0, 70.0, 70.0, 70.0]})
+    lines = bench_pairs.compare(parent, worse, benchmark)
+    assert [line.rsplit("; ", 1)[1] for line in lines] == ["OUTSIDE bound 25%", "OUTSIDE bound 10%"]
+    assert all("better in 0/4 pairs" in line for line in lines)
+
+
+def test_compare_reproduces_the_recorded_pr23_medians():
+    parent, change = (json.loads((ROOT / f"BENCH_pr23_{side}.json").read_text())
+                      for side in ("parent", "change"))
+    lines = bench_pairs.compare(parent, change)
+    assert len(lines) == 12
+    (line,) = [line for line in lines if line.startswith("predict-cli call_p50_ms ")]
+    assert "parent 10.13 [9.923, 10.78] -> change 9.41 [9.313, 9.957] ms, -7.1%" in line
+    assert line.endswith("better in 2/3 pairs; inside bound 25%")

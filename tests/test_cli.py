@@ -423,6 +423,8 @@ INF = float("inf")
         ("kernel-aniso", ["movs", 0], True, "movs must hold numbers, got a boolean"),
         ("gam", ["f_road", "values", 0], True, "values must hold numbers, got a boolean"),
         ("loess", ["home_ranks", 1], False, "home_ranks must hold numbers, got a boolean"),
+        # numpy would read it as the valid rank 1.0
+        ("kernel-iso", ["road_ranks", 0], True, "road_ranks must hold numbers, got a boolean"),
     ],
     ids=[
         "iso-nan-sigma", "iso-fractional-ranks", "aniso-zero-sigma", "iso-underflowing-sigma",
@@ -435,6 +437,7 @@ INF = float("inf")
         "gam-huge-iterations",
         "gam-negative-effective_df", "gam-negative-knot_weights", "loess-true-span",
         "iso-true-sigma", "aniso-true-mov", "gam-true-value", "loess-false-rank",
+        "iso-true-rank",
     ],
 )
 def test_predict_rejects_invalid_payload(tmp_path, capsys, model_docs, kind, path, value, message):
@@ -597,6 +600,58 @@ def test_python_m_runs_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: rankmargin")
+
+
+# Runs one command through cli.main, then prints its exit code and the scipy
+# modules it loaded.
+_SCIPY_MODULES = """
+import json, sys
+from rankmargin import cli
+rc = cli.main(sys.argv[1:])
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _scipy_modules_loaded(argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_MODULES, *argv],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0, proc.stderr
+    return loaded
+
+
+@pytest.fixture(scope="module")
+def model_files(model_docs, tmp_path_factory):
+    out = tmp_path_factory.mktemp("model-files")
+    for kind, doc in model_docs.items():
+        (out / f"{kind}.json").write_text(json.dumps(doc))
+    return out
+
+
+def test_commands_import_only_the_scipy_they_use(model_files, games_csv, tmp_path):
+    """A fresh interpreter loads no scipy for `predict` on a quadratic, GAM or
+    LOESS file, nor for `ingest`, `split` or `synth`; a kernel `predict`
+    loads `scipy.sparse` for its lattice and neither `scipy.linalg` nor
+    `scipy.special`. Structural, not timed."""
+    predict = ["predict", "--road-rank", "3", "--home-rank", "4", "--model-file"]
+    no_scipy = [
+        *([*predict, str(model_files / f"{kind}.json")] for kind in ("quadratic", "gam", "loess")),
+        ["ingest", "--input", str(games_csv)],
+        ["split", "--input", str(games_csv), "--train-count", "200",
+         "--out-dir", str(tmp_path / "split")],
+        ["synth", "--n", "50", "--seed", "1", "--out", str(tmp_path / "synth.csv")],
+    ]
+    for argv in no_scipy:
+        assert _scipy_modules_loaded(argv) == [], argv[0]
+    for kind in ("kernel-iso", "kernel-aniso"):
+        loaded = _scipy_modules_loaded([*predict, str(model_files / f"{kind}.json")])
+        assert "scipy.sparse" in loaded
+        assert not [m for m in loaded if m.startswith(("scipy.linalg", "scipy.special"))]
 
 
 def test_tune_loess(games_csv, tmp_path, capsys):

@@ -15,9 +15,12 @@ one after the other, T being BENCHMARK.json's run_seconds; the parent runs first
 ones. The files BENCH_<tag>_parent.json and BENCH_<tag>_change.json, written to
 the repository root, hold every JSON line of every run, the median and
 quartiles of each metric, and the Python, numpy, scipy and OpenBLAS versions
-and CPU count. The exit status is 1, and no file is written, when a run fails
-or its last line is not a JSON result with `correct: true` and 0 failed.
-Standard library only.
+and CPU count. After writing them it prints, for each workload and each
+end-to-end metric of BENCHMARK.json, both medians with their quartiles, the
+relative change, in how many pairs the change was better, and whether the
+change median is inside the metric's bound. The exit status is 1, and no file
+is written, when a run fails or its last line is not a JSON result with
+`correct: true` and 0 failed. Standard library only.
 """
 
 from __future__ import annotations
@@ -100,6 +103,39 @@ def summarize(runs: list[dict]) -> dict:
     }
 
 
+def _pair_values(workload: dict, metric: str) -> dict[int, float]:
+    return {run["pair"]: run["json_lines"][-1]["metrics"][metric]["value"]
+            for run in workload["runs"]}
+
+
+def compare(parent: dict, change: dict, benchmark: dict = BENCHMARK) -> list[str]:
+    """One line per workload and end-to-end metric of `benchmark`, for the
+    parent and change documents of one recording (their workloads in one
+    order): each median with its
+    quartiles, the relative change of the median, the pairs in which the
+    change was better (in the metric's `better` direction; a tie is not
+    better), and whether the change median is inside the metric's relative
+    `bound`, i.e. worse than the parent's by no more than that share."""
+    lines = []
+    for old, new in zip(parent["workloads"], change["workloads"]):
+        for metric in benchmark["end_to_end"]:
+            name, bound = metric["name"], metric["bound"]
+            a, b = old["summary"][name], new["summary"][name]
+            sign = 1.0 if metric["better"] == "lower" else -1.0
+            before, after = _pair_values(old, name), _pair_values(new, name)
+            pairs = sorted(before.keys() & after.keys())
+            better = sum(sign * (after[p] - before[p]) < 0 for p in pairs)
+            relative = b["median"] / a["median"] - 1.0
+            lines.append(
+                f"{old['workload']} {name} ({metric['better']} is better): "
+                f"parent {a['median']:.4g} [{a['q1']:.4g}, {a['q3']:.4g}] -> "
+                f"change {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}] {metric['unit']}, "
+                f"{relative:+.1%}; better in {better}/{len(pairs)} pairs; "
+                f"{'inside' if sign * relative <= bound else 'OUTSIDE'} bound {bound:.0%}"
+            )
+    return lines
+
+
 def _export(rev: str, dest: Path) -> None:
     with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", rev))) as tar:
         tar.extractall(dest, filter="data")
@@ -118,7 +154,7 @@ def _run(tree: Path, workload: str, seed: int, seconds: int) -> list[dict]:
         raise RunError(f"{workload} in {tree.name}: {exc}\n{tail}") from None
 
 
-def record(base: str, tag: str, workloads, pairs: int, seed: int) -> list[Path]:
+def record(base: str, tag: str, workloads, pairs: int, seed: int) -> None:
     seconds = BENCHMARK["run_seconds"]
     commits = dict(zip(SIDES, (_git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
                                for rev in (base, "HEAD"))))
@@ -153,12 +189,11 @@ def record(base: str, tag: str, workloads, pairs: int, seed: int) -> list[Path]:
                     "workload": workload, "seed": seed, "seconds": seconds, "trace": 0,
                     "runs": runs[side], "summary": summarize(runs[side]),
                 })
-    paths = []
     for side in SIDES:
         path = ROOT / f"BENCH_{tag}_{side}.json"
         path.write_text(json.dumps(docs[side], indent=1) + "\n")
-        paths.append(path)
-    return paths
+        print(f"wrote {path}")
+    print("\n".join(compare(docs["parent"], docs["change"])))
 
 
 def main(argv=None) -> int:
@@ -174,12 +209,10 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     try:
-        paths = record(args.base, args.tag, args.workload or workloads, args.pairs, args.seed)
+        record(args.base, args.tag, args.workload or workloads, args.pairs, args.seed)
     except (RunError, subprocess.CalledProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for path in paths:
-        print(f"wrote {path}")
     return 0
 
 
