@@ -42,7 +42,8 @@ banded Cholesky factor in O(m). Calibrating lam to a df target is a
 bisection on log lam.
 
 scipy is imported inside the functions that call it, so a process that fits
-and evaluates no GAM spline and takes no F tail never loads it.
+no spline, draws no GAM band and takes no F tail never loads it; evaluating
+a fitted spline (a GAM `predict`) needs only numpy.
 """
 
 from __future__ import annotations
