@@ -625,31 +625,25 @@ def _scipy_modules_loaded(argv):
     return loaded
 
 
-@pytest.fixture(scope="module")
-def model_files(model_docs, tmp_path_factory):
-    out = tmp_path_factory.mktemp("model-files")
-    for kind, doc in model_docs.items():
-        (out / f"{kind}.json").write_text(json.dumps(doc))
-    return out
-
-
-def test_commands_import_only_the_scipy_they_use(model_files, games_csv, tmp_path):
+def test_commands_import_only_the_scipy_they_use(model_docs, games_csv, tmp_path):
     """A fresh interpreter loads no scipy for `predict` on a quadratic, GAM or
     LOESS file, nor for `ingest`, `split` or `synth`; a kernel `predict`
     loads `scipy.sparse` for its lattice and neither `scipy.linalg` nor
     `scipy.special`. Structural, not timed."""
+    for kind, doc in model_docs.items():
+        (tmp_path / f"{kind}.json").write_text(json.dumps(doc))
     predict = ["predict", "--road-rank", "3", "--home-rank", "4", "--model-file"]
     no_scipy = [
-        *([*predict, str(model_files / f"{kind}.json")] for kind in ("quadratic", "gam", "loess")),
+        *([*predict, str(tmp_path / f"{kind}.json")] for kind in ("quadratic", "gam", "loess")),
         ["ingest", "--input", str(games_csv)],
         ["split", "--input", str(games_csv), "--train-count", "200",
          "--out-dir", str(tmp_path / "split")],
         ["synth", "--n", "50", "--seed", "1", "--out", str(tmp_path / "synth.csv")],
     ]
     for argv in no_scipy:
-        assert _scipy_modules_loaded(argv) == [], argv[0]
+        assert _scipy_modules_loaded(argv) == [], argv
     for kind in ("kernel-iso", "kernel-aniso"):
-        loaded = _scipy_modules_loaded([*predict, str(model_files / f"{kind}.json")])
+        loaded = _scipy_modules_loaded([*predict, str(tmp_path / f"{kind}.json")])
         assert "scipy.sparse" in loaded
         assert not [m for m in loaded if m.startswith(("scipy.linalg", "scipy.special"))]
 
