@@ -28,7 +28,10 @@ when d_max is 0, when fewer than 3 neighbors lie inside d_max, or when the
 condition number of its equilibrated normal equations, times the
 cancellation lost in recentring, exceeds COND_LIMIT. The exact path keeps
 the documented fallbacks: the mean at the query, the nearest-point mean,
-and the weighted mean for a small or collinear neighborhood. A call emits at
+and the weighted mean for a small or collinear neighborhood. It reads its
+neighbors sorted by road rank, home rank, then margin, so its result does
+not depend on the order of the training games: a plane this ill-conditioned
+would otherwise move with the order of its sums, by 1e-9 and more. A call emits at
 most one DegeneratePredictionWarning, stating how many of its predictions
 fell back and why, counting every query at a fallen-back pair.
 
@@ -294,19 +297,21 @@ def _predict_exact(fit: LoessFit, q: int, road_rank: float, home_rank: float):
     d = np.sqrt(dr * dr + dh * dh)
     d_max = np.partition(d, q - 1)[q - 1]
     if d_max == 0.0:
-        return float(fit.movs[d == 0.0].mean()), _COINCIDENT
-    inside = d < d_max
-    if not np.any(inside):
+        return float(np.sort(fit.movs[d == 0.0]).mean()), _COINCIDENT
+    # the neighbors inside d_max in the canonical order
+    inside = np.flatnonzero(d < d_max)
+    inside = inside[np.lexsort((fit.movs[inside], fit.home_ranks[inside], fit.road_ranks[inside]))]
+    if not len(inside):
         # every neighbor ties at d_max (e.g. a query at the center of a ring)
-        return float(fit.movs[d == d.min()].mean()), _RING
+        return float(np.sort(fit.movs[d == d.min()]).mean()), _RING
     u = d[inside] / d_max
     w = (1.0 - u**3) ** 3
     marks = fit.movs[inside]
-    if inside.sum() < 3:
+    if len(inside) < 3:
         return float(np.average(marks, weights=w)), _FEW
     design = np.column_stack(
         [
-            np.ones(int(inside.sum())),
+            np.ones(len(inside)),
             fit.road_ranks[inside] - road_rank,
             fit.home_ranks[inside] - home_rank,
         ]

@@ -390,6 +390,25 @@ def test_invariant_to_permuting_training_games(training, rnd):
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
 
 
+def test_game_order_changes_no_bit_far_from_the_games():
+    # a query 7 ranks past the last home rank: the exact path's local design
+    # is ill-conditioned, and its SVD moved by 1.2e-9 with the game order
+    # before prediction read the games in a canonical order
+    road = np.array([4, 6, 2, 1, 1, 2, 1, 1, 1, 1, 1, 6, 2, 1, 1, 1, 4, 6, 1, 1,
+                     3, 4, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 3, 3, 4, 2, 1], dtype=float)
+    home = road.copy()
+    home[[20, 34, 35, 36]] = 1.0
+    movs = np.zeros(len(road))
+    movs[0] = 3.0
+    qr, qh = np.array([1.0, 3.25]), np.array([1.0, 13.0])
+    a = predict_loess_arrays(_loess(road, home, movs, 0.375), qr, qh)
+    for seed in range(5):
+        order = np.random.default_rng(seed).permutation(len(road))
+        fit = _loess(road[order], home[order], movs[order], 0.375)
+        assert predict_loess_arrays(fit, qr, qh).tobytes() == a.tobytes()
+        assert predict_loess(fit, 3.25, 13.0) == a[1]
+
+
 @_PROPERTY
 @given(_training(), st.floats(-3, 3), st.floats(-3, 3))
 def test_linear_in_margins(training, alpha, beta):
