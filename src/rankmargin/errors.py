@@ -53,8 +53,8 @@ class RankRangeWarning(UserWarning):
 
 def warn_fallbacks(model: str, fallbacks, total: int) -> None:
     """One DegeneratePredictionWarning for a predicting call whose `fallbacks`
-    (a Counter of predictions by reason) are not all zero, attributed to the
-    code that made that call."""
+    (a mapping of reason to number of predictions) are not all zero,
+    attributed to the code that made that call."""
     count = sum(fallbacks.values())
     if count:
         reasons = "; ".join(f"{k} {why}" for why, k in fallbacks.items() if k)

@@ -48,7 +48,6 @@ no kernel smoother never loads it.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
@@ -214,22 +213,27 @@ def _direct_means(r, h, lat: _Lattice, sigma_x, sigma_y, own=None):
     return means, fell
 
 
-def _means(lat: _Lattice, r, h, sums, sigma_x, sigma_y, counts):
-    """Kernel-weighted means at the distinct query pairs (r, h) from their
-    lattice sums, with the exact path for far rows. Returns (means,
-    fallbacks counted per original query)."""
+def _means(lat: _Lattice, road_ranks, home_ranks, xs, ys):
+    """Kernel-weighted means at the query pairs for every bandwidth pair of
+    the grid xs by ys, shape (len(xs), len(ys), queries): each distinct pair
+    once from its lattice sums, far rows by the exact path. Returns (means,
+    overflow fallbacks counted per query)."""
+    first, inverse, counts = distinct_pairs(road_ranks, home_ranks)
+    r, h = road_ranks[first], home_ranks[first]
     u, v = r + h, r - h
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        means = sums[0] / sums[1]
-        # a lower bound on half the nearest game's squared scaled distance
-        near = (np.square((u - _nearest(lat.s, u)) / (2.0 * sigma_x))
-                + np.square((v - _nearest(lat.d, v)) / (2.0 * sigma_y)) - np.log(sums[1]))
-    exact = ~(near <= _NEAR)
+    sums = _kernel_sums(lat, u, v, xs, ys)
+    du, dv = u - _nearest(lat.s, u), v - _nearest(lat.d, v)
     fallen = 0
-    if exact.any():
-        means[exact], fell = _direct_means(r[exact], h[exact], lat, sigma_x, sigma_y)
-        fallen = int(counts[exact][fell].sum())
-    return means, fallen
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        means = sums[:, :, 0] / sums[:, :, 1]
+        for (xi, sx), (yi, sy) in product(enumerate(xs), enumerate(ys)):
+            # a lower bound on half the nearest game's squared scaled distance
+            near = np.square(du / (2.0 * sx)) + np.square(dv / (2.0 * sy)) - np.log(sums[xi, yi, 1])
+            exact = ~(near <= _NEAR)
+            if exact.any():
+                means[xi, yi, exact], fell = _direct_means(r[exact], h[exact], lat, sx, sy)
+                fallen += int(counts[exact][fell].sum())
+    return means[..., inverse], fallen
 
 
 def predict_kernel(spec: KernelSmootherSpec, road_rank: float, home_rank: float) -> float:
@@ -237,22 +241,13 @@ def predict_kernel(spec: KernelSmootherSpec, road_rank: float, home_rank: float)
     return float(predict_kernel_arrays(spec, [road_rank], [home_rank])[0])
 
 
-def _predict(spec: KernelSmootherSpec, road_ranks, home_ranks):
-    """(predictions, overflow fallbacks)."""
-    r = np.atleast_1d(np.asarray(road_ranks, dtype=float))
-    h = np.atleast_1d(np.asarray(home_ranks, dtype=float))
-    first, inverse, counts = distinct_pairs(r, h)
-    r, h = r[first], h[first]
-    sums = _kernel_sums(spec.lattice, r + h, r - h, [spec.sigma_x], [spec.sigma_y])[0, 0]
-    means, fallen = _means(spec.lattice, r, h, sums, spec.sigma_x, spec.sigma_y, counts)
-    return means[inverse], fallen
-
-
 def predict_kernel_arrays(spec: KernelSmootherSpec, road_ranks, home_ranks) -> np.ndarray:
     """Vectorized predictions, each distinct query pair once."""
-    preds, fallen = _predict(spec, road_ranks, home_ranks)
-    warn_fallbacks("kernel", Counter({_OVERFLOW: fallen}), len(preds))
-    return preds
+    r = np.atleast_1d(np.asarray(road_ranks, dtype=float))
+    h = np.atleast_1d(np.asarray(home_ranks, dtype=float))
+    means, fallen = _means(spec.lattice, r, h, [spec.sigma_x], [spec.sigma_y])
+    warn_fallbacks("kernel", {_OVERFLOW: fallen}, len(r))
+    return means[0, 0]
 
 
 def bandwidth_grid(values, name):
@@ -269,14 +264,23 @@ def bandwidth_grid(values, name):
     return grid
 
 
-def _loo(train: Dataset, grid):
-    """Leave-one-out squared errors summed per bandwidth of `grid`, with the
-    overflow fallbacks."""
+def select_sigma_loo(train: Dataset, sigma_grid=None):
+    """Pick the isotropic bandwidth by leave-one-out cross-validation.
+
+    One lattice evaluation per bandwidth at the distinct training pairs,
+    then each game's own weight of exactly 1 taken out. Returns
+    (best_sigma, curve) with curve a list of (sigma, rmse) in grid order.
+    Ties break toward the larger sigma.
+    """
+    grid = bandwidth_grid(DEFAULT_SIGMA_GRID if sigma_grid is None else sigma_grid, "sigma")
+    n = len(train)
+    if n < 2:
+        raise DataError("leave-one-out needs at least 2 games")
     lat = _lattice(train.road_ranks, train.home_ranks, train.movs)
     first, pair, _ = distinct_pairs(lat.road, lat.home)
     u, v = lat.road[first] + lat.home[first], lat.road[first] - lat.home[first]
-    games = np.arange(len(lat.movs))
-    preds = np.empty((len(grid), len(games)))
+    games = np.arange(n)
+    preds = np.empty((len(grid), n))
     fallen = 0
     for gi, sigma in enumerate(grid):
         f_s, f_n = _kernel_sums(lat, u, v, [sigma], [sigma])[0, 0][:, pair]
@@ -290,44 +294,10 @@ def _loo(train: Dataset, grid):
             )
             fallen += int(fell.sum())
     preds -= lat.movs
-    return np.einsum("ij,ij->i", preds, preds), fallen
-
-
-def select_sigma_loo(train: Dataset, sigma_grid=None):
-    """Pick the isotropic bandwidth by leave-one-out cross-validation.
-
-    One lattice evaluation per bandwidth at the distinct training pairs,
-    then each game's own weight of exactly 1 taken out. Returns
-    (best_sigma, curve) with curve a list of (sigma, rmse) in grid order.
-    Ties break toward the larger sigma.
-    """
-    grid = bandwidth_grid(DEFAULT_SIGMA_GRID if sigma_grid is None else sigma_grid, "sigma")
-    n = len(train)
-    if n < 2:
-        raise DataError("leave-one-out needs at least 2 games")
-    total_sq, fallen = _loo(train, grid)
-    warn_fallbacks("kernel", Counter({_OVERFLOW: fallen}), n * len(grid))
+    total_sq = np.einsum("ij,ij->i", preds, preds)
+    warn_fallbacks("kernel", {_OVERFLOW: fallen}, n * len(grid))
     curve = [(s, math.sqrt(t / n)) for s, t in zip(grid, total_sq)]
     return min_ties_to_larger(curve)[0], curve
-
-
-def _aniso_cv(train: Dataset, xs, ys, folds: int, seed: int):
-    """Pooled squared errors over the folds, shape (len(xs), len(ys)), with
-    the overflow fallbacks."""
-    road, home, movs = train.road_ranks, train.home_ranks, train.movs
-    total_sq = np.zeros((len(xs), len(ys)))
-    fallen = 0
-    for tr, held in fold_splits(len(train), folds, seed):
-        lat = _lattice(road[tr], home[tr], movs[tr])
-        first, inverse, counts = distinct_pairs(road[held], home[held])
-        r, h = road[held][first], home[held][first]
-        sums = _kernel_sums(lat, r + h, r - h, xs, ys)
-        for (xi, sx), (yi, sy) in product(enumerate(xs), enumerate(ys)):
-            means, fell = _means(lat, r, h, sums[xi, yi], sx, sy, counts)
-            err = means[inverse] - movs[held]
-            total_sq[xi, yi] += float(err @ err)
-            fallen += fell
-    return total_sq, fallen
 
 
 def select_aniso_cv(
@@ -345,7 +315,15 @@ def select_aniso_cv(
     xs = bandwidth_grid(DEFAULT_SIGMA_X_GRID if sigma_x_grid is None else sigma_x_grid, "sigma_x")
     ys = bandwidth_grid(DEFAULT_SIGMA_Y_GRID if sigma_y_grid is None else sigma_y_grid, "sigma_y")
     n = len(train)
-    total_sq, fallen = _aniso_cv(train, xs, ys, folds, seed)
-    warn_fallbacks("kernel", Counter({_OVERFLOW: fallen}), n * len(xs) * len(ys))
+    road, home, movs = train.road_ranks, train.home_ranks, train.movs
+    total_sq = np.zeros((len(xs), len(ys)))
+    fallen = 0
+    for tr, held in fold_splits(n, folds, seed):
+        means, fell = _means(_lattice(road[tr], home[tr], movs[tr]), road[held], home[held], xs, ys)
+        for xi, yi in np.ndindex(total_sq.shape):
+            err = means[xi, yi] - movs[held]
+            total_sq[xi, yi] += float(err @ err)
+        fallen += fell
+    warn_fallbacks("kernel", {_OVERFLOW: fallen}, n * len(xs) * len(ys))
     surface = [(sx, sy, math.sqrt(t / n)) for (sx, sy), t in zip(product(xs, ys), total_sq.flat)]
     return min_ties_to_larger(surface)[:2], surface

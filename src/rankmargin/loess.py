@@ -28,10 +28,12 @@ when d_max is 0, when fewer than 3 neighbors lie inside d_max, or when the
 condition number of its equilibrated normal equations, times the
 cancellation lost in recentring, exceeds COND_LIMIT. The exact path keeps
 the documented fallbacks: the mean at the query, the nearest-point mean,
-and the weighted mean for a small or collinear neighborhood. It reads its
-neighbors sorted by road rank, home rank, then margin, so its result does
-not depend on the order of the training games: a plane this ill-conditioned
-would otherwise move with the order of its sums, by 1e-9 and more. A call emits at
+and the weighted mean for a small or collinear neighborhood. It collapses
+its neighbors to their distinct rank pairs in rank order, each weighted by
+its game count and carrying its mean margin (means are `math.fsum`s), so
+its result depends neither on the order of the training games nor on how
+their margins compare: a plane this ill-conditioned would otherwise move
+with the order of its sums, by 1e-9 and more. A call emits at
 most one DegeneratePredictionWarning, stating how many of its predictions
 fell back and why, counting every query at a fallen-back pair.
 
@@ -133,11 +135,8 @@ def fit_loess(train: Dataset, span: float = 0.3) -> LoessFit:
 
 
 def predict_loess(fit: LoessFit, road_rank: float, home_rank: float) -> float:
-    """Local linear prediction at one rank pair: `predict_loess_arrays` for a
-    batch of one, with the same fallbacks and warning."""
-    preds, fallbacks = _predict(fit, [road_rank], [home_rank], [fit.neighborhood_size])
-    warn_fallbacks("LOESS", fallbacks, 1)
-    return float(preds[0, 0])
+    """Local linear prediction at one rank pair: a batch of one."""
+    return float(predict_loess_arrays(fit, [road_rank], [home_rank])[0])
 
 
 def predict_loess_arrays(fit: LoessFit, road_ranks, home_ranks) -> np.ndarray:
@@ -286,7 +285,9 @@ def _local_planes(feats, a, b, d, d_max, exact, w, t):
 
 
 def _predict_exact(fit: LoessFit, q: int, road_rank: float, home_rank: float):
-    """Scalar prediction by an SVD of the weighted local design.
+    """Scalar prediction by an SVD of the weighted local design, over the
+    distinct rank pairs inside d_max in rank order: each pair weighs its
+    tricube weight times its game count and carries its mean margin.
 
     Returns (prediction, fallback reason or None when the local plane was
     fitted).
@@ -297,25 +298,25 @@ def _predict_exact(fit: LoessFit, q: int, road_rank: float, home_rank: float):
     d = np.sqrt(dr * dr + dh * dh)
     d_max = np.partition(d, q - 1)[q - 1]
     if d_max == 0.0:
-        return float(np.sort(fit.movs[d == 0.0]).mean()), _COINCIDENT
-    # the neighbors inside d_max in the canonical order
+        marks = fit.movs[d == 0.0]
+        return math.fsum(marks) / len(marks), _COINCIDENT
     inside = np.flatnonzero(d < d_max)
-    inside = inside[np.lexsort((fit.movs[inside], fit.home_ranks[inside], fit.road_ranks[inside]))]
     if not len(inside):
         # every neighbor ties at d_max (e.g. a query at the center of a ring)
-        return float(np.sort(fit.movs[d == d.min()]).mean()), _RING
-    u = d[inside] / d_max
-    w = (1.0 - u**3) ** 3
-    marks = fit.movs[inside]
-    if len(inside) < 3:
-        return float(np.average(marks, weights=w)), _FEW
-    design = np.column_stack(
-        [
-            np.ones(len(inside)),
-            fit.road_ranks[inside] - road_rank,
-            fit.home_ranks[inside] - home_rank,
-        ]
-    )
+        marks = fit.movs[d == d.min()]
+        return math.fsum(marks) / len(marks), _RING
+    inside = inside[np.lexsort((fit.home_ranks[inside], fit.road_ranks[inside]))]
+    road, home = fit.road_ranks[inside], fit.home_ranks[inside]
+    starts = np.flatnonzero(np.r_[True, (road[1:] != road[:-1]) | (home[1:] != home[:-1])])
+    counts = np.diff(np.r_[starts, len(inside)])
+    marks = fit.movs[inside[starts]]
+    for g in np.flatnonzero(counts > 1):
+        marks[g] = math.fsum(fit.movs[inside[starts[g]:starts[g] + counts[g]]]) / counts[g]
+    u = d[inside[starts]] / d_max
+    w = (1.0 - u**3) ** 3 * counts
+    if len(starts) < 3:  # fewer than 3 games, or a plane through 2 pairs
+        return float(np.average(marks, weights=w)), _FEW if len(inside) < 3 else _COLLINEAR
+    design = np.column_stack([np.ones(len(starts)), road[starts] - road_rank, home[starts] - home_rank])
     try:
         sol = weighted_least_squares(design, marks, w)
     except RankDeficientError:

@@ -1,5 +1,5 @@
-"""tools/bench_pairs.py's summary and result checks, on canned JSON lines; no
-benchmark runs."""
+"""tools/bench_pairs.py's summary, result checks and merge, on canned JSON
+lines and documents; no benchmark runs."""
 
 import importlib.util
 import json
@@ -103,3 +103,42 @@ def test_compare_reproduces_the_recorded_pr23_medians():
     (line,) = [line for line in lines if line.startswith("predict-cli call_p50_ms ")]
     assert "parent 10.13 [9.923, 10.78] -> change 9.41 [9.313, 9.957] ms, -7.1%" in line
     assert line.endswith("better in 2/3 pairs; inside bound 25%")
+
+
+def _sides(commits, *workloads):
+    """{side: document} with `commits` and one run per workload, its value a
+    label that tells the recordings apart."""
+    return {
+        side: {"side": side, "commit": commit, "python": "3.x",
+               "workloads": [_doc(w, {"t_ms": [value]})["workloads"][0] for w, value in workloads]}
+        for side, commit in zip(bench_pairs.SIDES, commits)
+    }
+
+
+def _workloads(doc):
+    return [(w["workload"], w["summary"]["t_ms"]["median"]) for w in doc["workloads"]]
+
+
+def test_merge_adds_and_replaces_workloads_and_keeps_the_rest():
+    old = _sides(("a1", "b1"), ("predict-cli", 1.0), ("report-r60", 2.0))
+    assert bench_pairs.merge(None, old) is old
+    new = _sides(("a1", "b1"), ("report-r60", 3.0), ("report-r351", 4.0))
+    new["parent"]["python"] = "3.y"
+    merged = bench_pairs.merge(old, new)
+    for side in bench_pairs.SIDES:
+        assert _workloads(merged[side]) == [
+            ("predict-cli", 1.0), ("report-r60", 3.0), ("report-r351", 4.0)
+        ]
+        assert merged[side]["commit"] == new[side]["commit"]
+    assert merged["parent"]["python"] == "3.y"
+    benchmark = {"end_to_end": [{"name": "t_ms", "unit": "ms", "better": "lower", "bound": 0.25}]}
+    lines = bench_pairs.compare(merged["parent"], merged["change"], benchmark)
+    assert [line.split()[0] for line in lines] == ["predict-cli", "report-r60", "report-r351"]
+    assert _workloads(old["parent"]) == [("predict-cli", 1.0), ("report-r60", 2.0)]
+
+
+@pytest.mark.parametrize("commits", [("a2", "b1"), ("a1", "b2")], ids=["parent", "change"])
+def test_merge_refuses_files_of_another_commit(commits):
+    old = _sides(("a1", "b1"), ("predict-cli", 1.0))
+    with pytest.raises(bench_pairs.RunError, match="is of commit [ab]1, this run of [ab]2"):
+        bench_pairs.merge(old, _sides(commits, ("report-r60", 2.0)))

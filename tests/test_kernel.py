@@ -487,7 +487,8 @@ def test_aniso_cv_matches_per_fold_direct_sums(case, data):
 
 @pytest.fixture
 def exact_rows(monkeypatch):
-    """A list that gets the number of rows of each call of the exact path."""
+    """A list that gets the number of rows of each call of the exact path; a
+    fallback warning fails the test."""
     calls, direct = [], kernel._direct_means
 
     def counted(r, *args, **kwargs):
@@ -495,7 +496,9 @@ def exact_rows(monkeypatch):
         return direct(r, *args, **kwargs)
 
     monkeypatch.setattr(kernel, "_direct_means", counted)
-    return calls
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegeneratePredictionWarning)
+        yield calls
 
 
 def test_exact_path_when_the_axis_products_underflow(exact_rows):
@@ -506,8 +509,8 @@ def test_exact_path_when_the_axis_products_underflow(exact_rows):
     for sigma in (0.0355, 0.02):  # the products are subnormal, then 0
         spec = KernelSmootherSpec(road, home, movs, sigma, sigma)
         exact_rows.clear()
-        got, fallen = kernel._predict(spec, [6.0], [5.9])
-        assert (fallen, sum(exact_rows)) == (0, 1)
+        got = predict_kernel_arrays(spec, [6.0], [5.9])
+        assert sum(exact_rows) == 1
         assert got[0] == pytest.approx(6.0, rel=1e-12)
     want = oracles.kernel_predict_reference(road, home, movs, 6.0, 5.9, sigma=0.0355)
     got = predict_kernel(KernelSmootherSpec(road, home, movs, 0.0355, 0.0355), 6.0, 5.9)
@@ -521,9 +524,8 @@ def test_exact_path_for_lone_games_in_leave_one_out(sigma, exact_rows):
     road, home = [3, 4, 3, 3, 5, 3, 6, 3, 6], [4, 4, 4, 5, 6, 4, 6, 5, 6]
     movs = [-10.0, 7.0, 12.0, 3.0, -4.0, 0.0, 9.0, -6.0, 15.0]
     data = make_dataset(road, home, movs)
-    _, fallen = kernel._loo(data, [sigma])
-    assert (fallen, sum(exact_rows)) == (0, 2)  # (4, 4) and (5, 6) are alone
     _, curve = select_sigma_loo(data, [sigma])
+    assert sum(exact_rows) == 2  # (4, 4) and (5, 6) are alone
     want = oracles.kernel_loo_rmse_reference(road, home, movs, sigma)
     assert curve[0][1] == pytest.approx(want, rel=1e-10, abs=1e-10)
 
@@ -533,11 +535,11 @@ def test_report_season_stays_on_the_lattice(rank_max, exact_rows):
     # the criterion-7 grids on a 6,024-game season: no row takes the direct sum
     season = generate_synthetic(6024, seed=3, rank_max=rank_max)
     train = season.subset(np.arange(4518))
-    kernel._loo(train, [12.0, 19.0, 30.0])
-    kernel._aniso_cv(train, [30.0, 60.0], [8.0, 16.0], folds=5, seed=0)
+    select_sigma_loo(train, [12.0, 19.0, 30.0])
+    select_aniso_cv(train, [30.0, 60.0], [8.0, 16.0], folds=5, seed=0)
     for sigmas in ((12.0, 12.0), (30.0, 30.0), (30.0, 8.0), (60.0, 16.0)):
         spec = KernelSmootherSpec(train.road_ranks, train.home_ranks, train.movs, *sigmas)
-        kernel._predict(spec, season.road_ranks, season.home_ranks)
+        predict_kernel_arrays(spec, season.road_ranks, season.home_ranks)
     assert sum(exact_rows) == 0
 
 
@@ -553,11 +555,11 @@ def _composition_queries(rank_max, rng):
 
 
 def _assert_composition_free(spec, r, h):
-    full = kernel._predict(spec, r, h)[0]
-    alone = np.array([kernel._predict(spec, [a], [b])[0][0] for a, b in zip(r, h)])
+    full = predict_kernel_arrays(spec, r, h)
+    alone = np.array([predict_kernel_arrays(spec, [a], [b])[0] for a, b in zip(r, h)])
     k = len(r) // 3
-    halves = np.concatenate([kernel._predict(spec, r[:k], h[:k])[0], kernel._predict(spec, r[k:], h[k:])[0]])
-    reverse = kernel._predict(spec, r[::-1], h[::-1])[0][::-1]
+    halves = np.concatenate([predict_kernel_arrays(spec, r[:k], h[:k]), predict_kernel_arrays(spec, r[k:], h[k:])])
+    reverse = predict_kernel_arrays(spec, r[::-1], h[::-1])[::-1]
     for got in (alone, halves, reverse):
         assert np.array_equal(got, full)
 
@@ -575,7 +577,7 @@ def test_prediction_does_not_depend_on_the_other_queries(
     train = generate_synthetic(1500, seed=17, rank_max=rank_max)
     spec = KernelSmootherSpec(train.road_ranks, train.home_ranks, train.movs, *sigmas)
     r, h = _composition_queries(rank_max, np.random.default_rng(rank_max))
-    assert kernel._predict(spec, r, h)[1] == 0
+    predict_kernel_arrays(spec, r, h)
     assert sum(exact_rows) == 0  # every row on the lattice
     _assert_composition_free(spec, r, h)
 
@@ -587,7 +589,7 @@ def test_exact_path_does_not_depend_on_the_other_queries(sigmas, exact_rows):
     r, h = _composition_queries(60, np.random.default_rng(3))
     far = np.array([[200.0, 3.0], [-120.0, 0.5], [480.0, 481.0], [90.0, -75.0], [61.0, 300.0]])
     r, h = np.concatenate([r, far[:, 0]]), np.concatenate([h, far[:, 1]])
-    assert kernel._predict(spec, r, h)[1] == 0
+    predict_kernel_arrays(spec, r, h)
     assert sum(exact_rows) == len(far)
     _assert_composition_free(spec, r, h)
 

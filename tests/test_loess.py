@@ -401,12 +401,28 @@ def test_game_order_changes_no_bit_far_from_the_games():
     movs = np.zeros(len(road))
     movs[0] = 3.0
     qr, qh = np.array([1.0, 3.25]), np.array([1.0, 13.0])
-    a = predict_loess_arrays(_loess(road, home, movs, 0.375), qr, qh)
+    coincident = "1 of 2 LOESS predictions fell back: 1 all nearest neighbors at the query"
+    with pytest.warns(DegeneratePredictionWarning, match=coincident):
+        a = predict_loess_arrays(_loess(road, home, movs, 0.375), qr, qh)
     for seed in range(5):
         order = np.random.default_rng(seed).permutation(len(road))
         fit = _loess(road[order], home[order], movs[order], 0.375)
-        assert predict_loess_arrays(fit, qr, qh).tobytes() == a.tobytes()
+        with pytest.warns(DegeneratePredictionWarning, match=coincident):
+            assert predict_loess_arrays(fit, qr, qh).tobytes() == a.tobytes()
         assert predict_loess(fit, 3.25, 13.0) == a[1]
+
+
+def test_negated_margins_negate_the_prediction_far_from_the_games():
+    # a query far past four rank pairs, one of them with three games: the
+    # exact path's plane is ill-conditioned, and it moved by 1.5e-12 when
+    # negating the margins reordered the games of a pair
+    road = np.array([3, 1, 1, 1, 4, 3, 4], dtype=float)
+    home = np.array([3, 2, 2, 2, 2, 3, 3], dtype=float)
+    movs = np.array([15, 15, 2, -18, -12, -12, -4], dtype=float)
+    up = predict_loess_arrays(_loess(road, home, movs, 1.0), [9.75], [21.5])
+    down = predict_loess_arrays(_loess(road, home, -movs, 1.0), [9.75], [21.5])
+    assert (-down).tobytes() == up.tobytes()
+    assert up[0] == pytest.approx(899 / 8, rel=1e-12)  # the exact rational solve
 
 
 @_PROPERTY

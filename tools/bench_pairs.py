@@ -15,12 +15,16 @@ one after the other, T being BENCHMARK.json's run_seconds; the parent runs first
 ones. The files BENCH_<tag>_parent.json and BENCH_<tag>_change.json, written to
 the repository root, hold every JSON line of every run, the median and
 quartiles of each metric, and the Python, numpy, scipy and OpenBLAS versions
-and CPU count. After writing them it prints, for each workload and each
-end-to-end metric of BENCHMARK.json, both medians with their quartiles, the
-relative change, in how many pairs the change was better, and whether the
-change median is inside the metric's bound. The exit status is 1, and no file
-is written, when a run fails or its last line is not a JSON result with
-`correct: true` and 0 failed. Standard library only.
+and CPU count. When both files of the tag exist, the run merges into them:
+its workloads replace those of the same name and the others stay, so
+workloads recorded at different --pairs share one tag. After writing them it
+prints, for each workload of the files and each end-to-end metric of
+BENCHMARK.json, both medians with their quartiles, the relative change, in
+how many pairs the change was better, and whether the change median is
+inside the metric's bound. The exit status is 1, and no file is written,
+when a run fails or its last line is not a JSON result with `correct: true`
+and 0 failed, when only one file of the tag exists, or when the existing
+files name another parent or change commit. Standard library only.
 """
 
 from __future__ import annotations
@@ -136,6 +140,37 @@ def compare(parent: dict, change: dict, benchmark: dict = BENCHMARK) -> list[str
     return lines
 
 
+def merge(old: dict | None, new: dict) -> dict:
+    """The {side: document} `new` of a recording merged into `old`, the
+    documents already under its tag (None if there are none). Each side
+    keeps `old`'s workloads in their order, with a workload `new` recorded
+    again replaced by the new one, and then `new`'s other workloads; the
+    other fields are `new`'s. Raises RunError if the sides name other
+    commits."""
+    if old is None:
+        return new
+    merged = {}
+    for side in SIDES:
+        if old[side]["commit"] != new[side]["commit"]:
+            raise RunError(f"the existing {side} file is of commit {old[side]['commit']}, "
+                           f"this run of {new[side]['commit']}")
+        recorded = {w["workload"]: w for w in new[side]["workloads"]}
+        kept = [recorded.pop(w["workload"], w) for w in old[side]["workloads"]]
+        merged[side] = {**new[side], "workloads": kept + list(recorded.values())}
+    return merged
+
+
+def _existing(tag: str) -> dict | None:
+    """The {side: document} already written under `tag`, or None."""
+    paths = {side: ROOT / f"BENCH_{tag}_{side}.json" for side in SIDES}
+    found = [side for side in SIDES if paths[side].exists()]
+    if not found:
+        return None
+    if len(found) < len(SIDES):
+        raise RunError(f"only {paths[found[0]].name} of tag {tag} exists")
+    return {side: json.loads(paths[side].read_text()) for side in SIDES}
+
+
 def _export(rev: str, dest: Path) -> None:
     with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", rev))) as tar:
         tar.extractall(dest, filter="data")
@@ -158,6 +193,9 @@ def record(base: str, tag: str, workloads, pairs: int, seed: int) -> None:
     seconds = BENCHMARK["run_seconds"]
     commits = dict(zip(SIDES, (_git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
                                for rev in (base, "HEAD"))))
+    existing = _existing(tag)
+    # refuse files of other commits before any run
+    merge(existing, {side: {"commit": commits[side], "workloads": []} for side in SIDES})
     docs = {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
@@ -189,6 +227,7 @@ def record(base: str, tag: str, workloads, pairs: int, seed: int) -> None:
                     "workload": workload, "seed": seed, "seconds": seconds, "trace": 0,
                     "runs": runs[side], "summary": summarize(runs[side]),
                 })
+    docs = merge(existing, docs)
     for side in SIDES:
         path = ROOT / f"BENCH_{tag}_{side}.json"
         path.write_text(json.dumps(docs[side], indent=1) + "\n")
@@ -199,7 +238,8 @@ def record(base: str, tag: str, workloads, pairs: int, seed: int) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="the parent revision; the change is HEAD")
-    parser.add_argument("--tag", required=True, help="names the files BENCH_<tag>_<side>.json")
+    parser.add_argument("--tag", required=True,
+                        help="names the files BENCH_<tag>_<side>.json, merged into if they exist")
     workloads = [w["name"] for w in BENCHMARK["workloads"]]
     parser.add_argument("--workload", action="append", choices=workloads,
                         help="repeat for several (default: every workload of BENCHMARK.json)")
