@@ -30,7 +30,7 @@ cancellation lost in recentring, exceeds COND_LIMIT. The exact path keeps
 the documented fallbacks: the mean at the query, the nearest-point mean,
 and the weighted mean for a small or collinear neighborhood. It collapses
 its neighbors to their distinct rank pairs in rank order, each weighted by
-its game count and carrying its mean margin (means are `math.fsum`s), so
+its game count and carrying its mean margin (a `math.fsum`), so
 its result depends neither on the order of the training games nor on how
 their margins compare: a plane this ill-conditioned would otherwise move
 with the order of its sums, by 1e-9 and more. A call emits at
@@ -314,7 +314,7 @@ def _predict_exact(fit: LoessFit, q: int, road_rank: float, home_rank: float):
         marks[g] = math.fsum(fit.movs[inside[starts[g]:starts[g] + counts[g]]]) / counts[g]
     u = d[inside[starts]] / d_max
     w = (1.0 - u**3) ** 3 * counts
-    if len(starts) < 3:  # fewer than 3 games, or a plane through 2 pairs
+    if len(starts) < 3:  # fewer than 3 games, or every game on 1 or 2 pairs
         return float(np.average(marks, weights=w)), _FEW if len(inside) < 3 else _COLLINEAR
     design = np.column_stack([np.ones(len(starts)), road[starts] - road_rank, home[starts] - home_rank])
     try:
